@@ -26,7 +26,7 @@ from .data import (
     save_manifest,
     synthesize,
 )
-from .errors import BadSpec, DimensionMismatch, MtlkitError
+from .errors import BadConfig, BadSpec, DimensionMismatch, MtlkitError
 from .network import DualHeadNet, NetConfig, load_checkpoint, save_checkpoint
 from .optim import PlateauConfig
 from .training import TrainConfig, cross_validate, evaluate_scores, fold_metrics, train
@@ -37,13 +37,20 @@ def _load_json(path):
         return json.load(f)
 
 
+def _sub_config(cls, d: dict, section: str):
+    unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise BadConfig(f"unknown key(s) in {section!r}: {', '.join(unknown)}")
+    return cls(**d)
+
+
 def train_config_from_dict(d: dict) -> TrainConfig:
+    """Unknown top-level keys are left to the caller; unknown nested ones raise."""
     d = dict(d)
-    net = NetConfig(**d.pop("net", {}))
-    plateau = PlateauConfig(**d.pop("plateau", {}))
-    augment = AugmentConfig(**d.pop("augment", {}))
-    known = {k: d[k] for k in d
-             if k in TrainConfig.__dataclass_fields__ and k not in ("net", "plateau", "augment")}
+    net = _sub_config(NetConfig, d.pop("net", {}), "net")
+    plateau = _sub_config(PlateauConfig, d.pop("plateau", {}), "plateau")
+    augment = _sub_config(AugmentConfig, d.pop("augment", {}), "augment")
+    known = {k: d[k] for k in d if k in TrainConfig.__dataclass_fields__}
     return TrainConfig(net=net, plateau=plateau, augment=augment, **known)
 
 

@@ -116,9 +116,11 @@ def read_ppm(path) -> np.ndarray:
             pos += 1
         fields.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
-    magic, w, h, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
-    if magic != b"P6" or maxval != 255:
+    if fields[0] != b"P6" or not all(f.isdigit() for f in fields[1:]) or int(fields[3]) != 255:
         raise ParseError(0, f"{path}: not an 8-bit P6 PPM")
+    w, h = int(fields[1]), int(fields[2])
+    if len(raw) - pos < w * h * 3:
+        raise ParseError(0, f"{path}: pixel data truncated")
     pix = np.frombuffer(raw, dtype=np.uint8, count=w * h * 3, offset=pos)
     return pix.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 

@@ -74,6 +74,10 @@ class BadClass(MtlkitError):
     """Class index out of range for the chosen head."""
 
 
+class EmptyDataset(MtlkitError):
+    """An operation needs at least one sample and got none."""
+
+
 class CheckpointError(MtlkitError):
     """Checkpoint file is malformed or has an unsupported version."""
 

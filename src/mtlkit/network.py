@@ -210,24 +210,27 @@ def load_checkpoint(path):
         data = f.read()
     if data[:4] != _MAGIC:
         raise CheckpointError(f"bad magic in {path}")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (n_params,) = struct.unpack_from("<I", data, 8)
-    off = 12
-    arrays = []
-    for _ in range(n_params):
-        arr, off = _read_array(data, off)
-        arrays.append(arr)
-    (n_bufs,) = struct.unpack_from("<I", data, off)
-    off += 4
-    buffers = []
-    for _ in range(n_bufs):
-        arr, off = _read_array(data, off)
-        buffers.append(arr)
-    (blob_len,) = struct.unpack_from("<I", data, off)
-    off += 4
-    state = json.loads(data[off : off + blob_len].decode())
+    try:
+        (version,) = struct.unpack_from("<I", data, 4)
+        if version != _VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        (n_params,) = struct.unpack_from("<I", data, 8)
+        off = 12
+        arrays = []
+        for _ in range(n_params):
+            arr, off = _read_array(data, off)
+            arrays.append(arr)
+        (n_bufs,) = struct.unpack_from("<I", data, off)
+        off += 4
+        buffers = []
+        for _ in range(n_bufs):
+            arr, off = _read_array(data, off)
+            buffers.append(arr)
+        (blob_len,) = struct.unpack_from("<I", data, off)
+        off += 4
+        state = json.loads(data[off : off + blob_len].decode())
+    except (struct.error, ValueError) as e:
+        raise CheckpointError(f"{path} is truncated or corrupt: {e}") from None
     net = DualHeadNet(
         NetConfig.from_dict(state.pop("config")),
         state.pop("P"),

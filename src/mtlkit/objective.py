@@ -1,10 +1,11 @@
-"""Joint training objective: multi-label cross-entropy for lesions,
-softmax cross-entropy for body locations, plus L2 regularization.
+"""Joint training objective: multi-label cross-entropy for lesions plus
+weighted softmax cross-entropy for body locations.
 
 Both losses are batch means over numerically stable closed forms:
 log sigmoid(s) = -softplus(-s) and log softmax(t)_v = t_v - logsumexp(t),
 so logits up to |1e4| stay finite. Location labels are 1-based
-(v in {1..Q}), matching the dataset contract.
+(v in {1..Q}), matching the dataset contract. Weight decay is not part of
+the objective: the optimizer applies it as wd * theta.
 """
 
 from __future__ import annotations
@@ -14,16 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import BadLabel
+from .errors import BadConfig, BadLabel
 from .tensor import Tensor, _accumulate, _result
 
 
 @dataclass
 class LossBreakdown:
-    lesion_loss: float
-    location_loss: float
-    reg: float
-    total: float
+    lesion_loss: float | None     # None when the mode does not train that head
+    location_loss: float | None
+    total: float                  # value of the optimised node
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -102,36 +102,24 @@ def location_loss(location_logits: Tensor, v) -> Tensor:
     return _result(np.float64(value), (location_logits,), bwd)
 
 
-def regularization(net, gamma: float) -> float:
-    """Quadratic penalty gamma * sum of squared parameters (display value)."""
-    return gamma * sum(float((p.tensor.data ** 2).sum()) for p in net.parameters())
+def joint_loss(lesion_logits: Tensor, location_logits: Tensor, u, v,
+               mode: str = "mtl", aux_weight: float = 1.0):
+    """The training objective of one mode; returns (LossBreakdown, loss node).
 
-
-def joint_loss(net, batch, u, v, gamma: float, aux_weight: float = 1.0,
-               decoupled_reg: bool = True):
-    """Sum of both task losses plus L2 regularization.
-
-    Returns (LossBreakdown, scalar loss node). With decoupled_reg the
-    quadratic penalty is applied by the optimizer as weight decay and only
-    reported here; otherwise it joins the differentiated objective.
+    mtl optimises lesion + aux_weight * location loss; each single-task mode
+    optimises its own loss and leaves the other head's field None.
     """
-    if gamma < 0:
-        raise BadLabel(f"gamma must be nonnegative, got {gamma}")
-    les_logits, loc_logits, _, _ = net.forward(batch)
-    les = lesion_loss(les_logits, u)
-    loc = location_loss(loc_logits, v)
-    node = T.add(les, loc) if aux_weight == 1.0 else T.add(les, T.scale(loc, aux_weight))
-    reg = gamma * sum(float((p.tensor.data ** 2).sum()) for p in net.parameters())
-    if not decoupled_reg and gamma > 0:
-        penalty = None
-        for p in net.parameters():
-            sq = T.scale(T.sum_squares(p.tensor), gamma)
-            penalty = sq if penalty is None else T.add(penalty, sq)
-        node = T.add(node, penalty)
+    if mode not in ("mtl", "lesion_only", "location_only"):
+        raise BadConfig(f"unknown objective mode {mode!r}")
+    les = lesion_loss(lesion_logits, u) if mode != "location_only" else None
+    loc = location_loss(location_logits, v) if mode != "lesion_only" else None
+    if mode == "mtl":
+        node = T.add(les, loc) if aux_weight == 1.0 else T.add(les, T.scale(loc, aux_weight))
+    else:
+        node = les if loc is None else loc
     breakdown = LossBreakdown(
-        lesion_loss=float(les.data),
-        location_loss=float(loc.data),
-        reg=reg,
-        total=float(les.data) + float(loc.data) + reg,
+        lesion_loss=None if les is None else float(les.data),
+        location_loss=None if loc is None else float(loc.data),
+        total=float(node.data),
     )
     return breakdown, node

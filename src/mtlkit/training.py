@@ -6,18 +6,19 @@ generator, so a (config, seed) pair reproduces training exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import metrics, objective
 from .data import AugmentConfig, Dataset, assign_folds, augment, channel_means, eval_transform, ten_crop
-from .errors import BadConfig
+from .errors import BadConfig, EmptyDataset
 from .network import DualHeadNet, NetConfig
 from .optim import SGD, PlateauConfig
-from .tensor import backward
+from .tensor import Tensor, backward
 
-MODES = ("mtl", "lesion_only", "location_only")
+# mode -> the heads it trains (the DualHeadNet.parameters selector)
+MODES = {"mtl": "both", "lesion_only": "lesion", "location_only": "location"}
 
 
 @dataclass
@@ -38,41 +39,49 @@ class TrainConfig:
     use_ten_crop: bool = False
 
 
-def _check_mode(mode):
-    if mode not in MODES:
-        raise BadConfig(f"mode must be one of {MODES}, got {mode!r}")
+def _check_config(cfg):
+    if cfg.mode not in MODES:
+        raise BadConfig(f"mode must be one of {tuple(MODES)}, got {cfg.mode!r}")
+    if cfg.weight_decay < 0 or cfg.lr <= 0 or cfg.batch_size < 1:
+        raise BadConfig(f"need weight_decay >= 0, lr > 0 and batch_size >= 1; got "
+                        f"{cfg.weight_decay}, {cfg.lr} and {cfg.batch_size}")
 
 
-def _batches(n, batch_size, order):
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+def _train_epoch(net, samples, rng, aug, opt, cfg):
+    """One shuffled pass of SGD steps on cfg.mode's objective; returns the
+    sample-weighted epoch means of the LossBreakdown fields as train_*."""
+    order = rng.permutation(len(samples))
+    sums = {}
+    for start in range(0, len(samples), cfg.batch_size):
+        idx = order[start : start + cfg.batch_size]
+        imgs = np.stack([augment(samples[i], rng, aug) for i in idx])
+        u = np.stack([samples[i].u for i in idx])
+        v = np.array([samples[i].v for i in idx])
+        les_logits, loc_logits, _, _ = net.forward(imgs)
+        bd, node = objective.joint_loss(les_logits, loc_logits, u, v, cfg.mode, cfg.aux_weight)
+        backward(node)
+        opt.step()
+        for k, val in asdict(bd).items():
+            if val is not None:
+                sums[k] = sums.get(k, 0.0) + val * len(idx)
+    return {f"train_{k}": total / len(samples) for k, total in sums.items()}
 
 
-def _stack_batch(samples, idx, rng, aug):
-    imgs = np.stack([augment(samples[i], rng, aug) for i in idx])
-    u = np.stack([samples[i].u for i in idx])
-    v = np.array([samples[i].v for i in idx])
-    return imgs, u, v
+def _forward_logits(net, imgs, batch_size):
+    """Lesion and location logits of a stacked image array, one forward per batch."""
+    les, loc = [], []
+    for start in range(0, len(imgs), batch_size):
+        les_logits, loc_logits, _, _ = net.forward(imgs[start : start + batch_size])
+        les.append(les_logits.data)
+        loc.append(loc_logits.data)
+    return np.concatenate(les), np.concatenate(loc)
 
 
-def _mode_loss(net, imgs, u, v, cfg):
-    """Returns (loss node, log fields) for the configured mode."""
-    if cfg.mode == "mtl":
-        bd, node = objective.joint_loss(
-            net, imgs, u, v, gamma=cfg.weight_decay, aux_weight=cfg.aux_weight
-        )
-        return node, {"lesion_loss": bd.lesion_loss, "location_loss": bd.location_loss,
-                      "reg": bd.reg, "total": bd.total}
-    les_logits, loc_logits, _, _ = net.forward(imgs)
-    if cfg.mode == "lesion_only":
-        node = objective.lesion_loss(les_logits, u)
-        return node, {"lesion_loss": float(node.data), "total": float(node.data)}
-    node = objective.location_loss(loc_logits, v)
-    return node, {"location_loss": float(node.data), "total": float(node.data)}
-
-
-def _heads_for_mode(mode):
-    return {"mtl": "both", "lesion_only": "lesion", "location_only": "location"}[mode]
+def _score_matrices(ids, les_scores, loc_scores):
+    return (
+        metrics.ScoreMatrix(np.asarray(les_scores), ids, "lesion"),
+        metrics.ScoreMatrix(np.asarray(loc_scores), ids, "location"),
+    )
 
 
 def evaluate_scores(net: DualHeadNet, samples, aug: AugmentConfig,
@@ -82,84 +91,65 @@ def evaluate_scores(net: DualHeadNet, samples, aug: AugmentConfig,
     Lesion scores are sigmoid activations, location scores softmax. With
     use_ten_crop the post-activation scores are averaged over the 10 crops.
     """
+    if not samples:
+        raise EmptyDataset("no samples to score")
     ids = [s.id for s in samples]
+    if not use_ten_crop:
+        les, loc = _forward_logits(net, np.stack([eval_transform(s, aug) for s in samples]),
+                                   batch_size)
+        return _score_matrices(ids, objective.sigmoid(les), objective.softmax(loc))
     les_rows, loc_rows = [], []
-    if use_ten_crop:
-        for s in samples:
-            crops = np.stack(ten_crop(s, aug))
-            les_logits, loc_logits, _, _ = net.forward(crops)
-            les_rows.append(objective.sigmoid(les_logits.data).mean(axis=0))
-            loc_rows.append(objective.softmax(loc_logits.data).mean(axis=0))
-    else:
-        imgs = [eval_transform(s, aug) for s in samples]
-        for start in range(0, len(imgs), batch_size):
-            chunk = np.stack(imgs[start : start + batch_size])
-            les_logits, loc_logits, _, _ = net.forward(chunk)
-            les_rows.extend(objective.sigmoid(les_logits.data))
-            loc_rows.extend(objective.softmax(loc_logits.data))
-    return (
-        metrics.ScoreMatrix(np.stack(les_rows), ids, "lesion"),
-        metrics.ScoreMatrix(np.stack(loc_rows), ids, "location"),
-    )
-
-
-def _validation_loss(net, samples, aug, cfg):
-    total = 0.0
-    n = 0
-    for start in range(0, len(samples), cfg.batch_size):
-        chunk = samples[start : start + cfg.batch_size]
-        imgs = np.stack([eval_transform(s, aug) for s in chunk])
-        u = np.stack([s.u for s in chunk])
-        v = np.array([s.v for s in chunk])
-        _, fields = _mode_loss(net, imgs, u, v, cfg)
-        total += fields["total"] * len(chunk)
-        n += len(chunk)
-    return total / n
+    for s in samples:
+        crops = np.stack(ten_crop(s, aug))
+        les_logits, loc_logits, _, _ = net.forward(crops)
+        les_rows.append(objective.sigmoid(les_logits.data).mean(axis=0))
+        loc_rows.append(objective.softmax(loc_logits.data).mean(axis=0))
+    return _score_matrices(ids, les_rows, loc_rows)
 
 
 def train(net: DualHeadNet, train_samples, val_samples, cfg: TrainConfig, on_epoch=None):
     """Train in place; returns (log records, optimizer, fitted AugmentConfig).
 
+    Records hold the epoch means of the optimised objective (train_*), the
+    decay (wd/2) * sum ||theta||^2 SGD applies, and, with val_samples, the
+    main-task val_loss that drives the plateau schedule. The val set is
+    eval-transformed once per call and forwarded once per epoch.
+
     The returned AugmentConfig carries the training-fold channel means and
     must be reused for any later scoring of this net.
     """
-    _check_mode(cfg.mode)
+    _check_config(cfg)
+    if not train_samples:
+        raise EmptyDataset("no training samples")
     rng = np.random.default_rng(cfg.seed)
     aug = replace(cfg.augment, channel_means=channel_means(train_samples))
-    opt = SGD(net.parameters(_heads_for_mode(cfg.mode)), lr=cfg.lr, momentum=cfg.momentum,
+    opt = SGD(net.parameters(MODES[cfg.mode]), lr=cfg.lr, momentum=cfg.momentum,
               weight_decay=cfg.weight_decay, plateau=cfg.plateau)
     log = []
+
+    if val_samples:
+        val_imgs = np.stack([eval_transform(s, aug) for s in val_samples])
+        u_val = np.stack([s.u for s in val_samples])
+        v_val = np.array([s.v for s in val_samples])
 
     if cfg.pretrain_epochs > 0 and cfg.mode == "mtl":
         warm_cfg = replace(cfg, mode="location_only")
         warm_opt = SGD(net.parameters("location"), lr=cfg.lr, momentum=cfg.momentum,
                        weight_decay=cfg.weight_decay, plateau=cfg.plateau)
         for _ in range(cfg.pretrain_epochs):
-            order = rng.permutation(len(train_samples))
-            for idx in _batches(len(train_samples), cfg.batch_size, order):
-                imgs, u, v = _stack_batch(train_samples, idx, rng, aug)
-                node, _ = _mode_loss(net, imgs, u, v, warm_cfg)
-                backward(node)
-                warm_opt.step()
+            _train_epoch(net, train_samples, rng, aug, warm_opt, warm_cfg)
 
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(train_samples))
-        sums, count = {}, 0
-        for idx in _batches(len(train_samples), cfg.batch_size, order):
-            imgs, u, v = _stack_batch(train_samples, idx, rng, aug)
-            node, fields = _mode_loss(net, imgs, u, v, cfg)
-            backward(node)
-            opt.step()
-            for k, val in fields.items():
-                sums[k] = sums.get(k, 0.0) + val * len(idx)
-            count += len(idx)
-        record = {"epoch": epoch, **{f"train_{k}": v / count for k, v in sums.items()}}
+        record = {"epoch": epoch, **_train_epoch(net, train_samples, rng, aug, opt, cfg)}
+        record["decay"] = 0.5 * cfg.weight_decay * sum(
+            float((p.tensor.data ** 2).sum()) for p in opt.params)
         if val_samples:
-            val_loss = _validation_loss(net, val_samples, aug, cfg)
+            les, loc = _forward_logits(net, val_imgs, cfg.batch_size)
+            bd, _ = objective.joint_loss(Tensor(les), Tensor(loc), u_val, v_val, cfg.mode)
+            val_loss = bd.location_loss if cfg.mode == "location_only" else bd.lesion_loss
             record["val_loss"] = val_loss
-            les_sm, loc_sm = evaluate_scores(net, val_samples, aug, cfg.batch_size)
-            u_val = np.stack([s.u for s in val_samples])
-            v_val = np.array([s.v for s in val_samples])
+            les_sm, loc_sm = _score_matrices([s.id for s in val_samples],
+                                             objective.sigmoid(les), objective.softmax(loc))
             if cfg.mode != "location_only":
                 record["val_map_image"] = metrics.map_image(les_sm, u_val)[0]
             if cfg.mode != "lesion_only":
@@ -199,7 +189,7 @@ def cross_validate(ds: Dataset, cfg: TrainConfig):
     Each fold trains a fresh net on the remaining folds and evaluates on
     the held-out one, so every sample is scored exactly once.
     """
-    _check_mode(cfg.mode)
+    _check_config(cfg)
     if ds.folds is None:
         ds = assign_folds(ds, cfg.n_folds, cfg.seed)
     fold_ids = sorted(set(int(f) for f in ds.folds))

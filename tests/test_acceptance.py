@@ -84,8 +84,8 @@ def test_criterion_1_gradient_correctness(capsys):
     params = [p.tensor for p in net.parameters()]
 
     def full():
-        _, node = objective.joint_loss(net, batch, u, v, gamma=1e-3,
-                                       decoupled_reg=False)
+        les_logits, loc_logits, _, _ = net.forward(batch)
+        _, node = objective.joint_loss(les_logits, loc_logits, u, v)
         return node
 
     worst = max(worst, check_gradients(full, params, tol=1e-4))

@@ -211,3 +211,53 @@ def test_unknown_sample_id_exits_nonzero(workspace, capsys):
 def test_train_config_from_dict_ignores_extras():
     cfg = train_config_from_dict({"epochs": 3, "manifest": "x.jsonl", "val_fraction": 0.2})
     assert isinstance(cfg, TrainConfig) and cfg.epochs == 3
+
+
+def _single_error(capsys, type_name):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {type_name}: "), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize("section", ["net", "plateau", "augment"])
+def test_unknown_nested_config_key_is_bad_config(workspace, tmp_path, capsys, section):
+    raw = json.loads(open(workspace["cfg_path"]).read())
+    raw[section] = dict(raw.get(section, {}), widht=3)
+    cfg_path = tmp_path / "typo.json"
+    cfg_path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["train", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 1
+    assert "widht" in _single_error(capsys, "BadConfig")
+
+
+def test_empty_manifest_fails_in_one_line(workspace, tmp_path, capsys):
+    manifest = tmp_path / "empty.jsonl"
+    manifest.write_text(open(workspace["manifest"]).readline())
+    cfg_path = tmp_path / "empty.json"
+    cfg_path.write_text(json.dumps(dict(TINY_TRAIN, manifest=str(manifest))))
+    capsys.readouterr()
+    assert main(["train", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 1
+    _single_error(capsys, "EmptyDataset")
+    assert main(["eval", workspace["ckpt"], str(manifest)]) == 1
+    _single_error(capsys, "EmptyDataset")
+
+
+def test_truncated_checkpoint_fails_in_one_line(workspace, tmp_path, capsys):
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(open(workspace["ckpt"], "rb").read()[:200])
+    capsys.readouterr()
+    assert main(["eval", str(cut), workspace["manifest"]]) == 1
+    _single_error(capsys, "CheckpointError")
+
+
+def test_truncated_ppm_fails_in_one_line(workspace, tmp_path, capsys):
+    import shutil
+
+    data_dir = tmp_path / "data"
+    shutil.copytree(os.path.dirname(workspace["manifest"]), data_dir)
+    first = json.loads(open(data_dir / "manifest.jsonl").read().splitlines()[1])
+    image = data_dir / first["image"]
+    image.write_bytes(image.read_bytes()[:100])
+    capsys.readouterr()
+    assert main(["eval", workspace["ckpt"], str(data_dir / "manifest.jsonl")]) == 1
+    _single_error(capsys, "ParseError")

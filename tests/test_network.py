@@ -89,7 +89,7 @@ def test_gradient_flow_from_both_heads(rng):
 
     from mtlkit.objective import lesion_loss, location_loss
 
-    g_joint = trunk_grad(lambda n: joint_loss(n, batch, u, v, 0.0))
+    g_joint = trunk_grad(lambda n: joint_loss(*n.forward(batch)[:2], u, v))
     g_les = trunk_grad(lambda n: (None, lesion_loss(n.forward(batch)[0], u)))
     g_loc = trunk_grad(lambda n: (None, location_loss(n.forward(batch)[1], v)))
     assert np.allclose(g_joint, g_les + g_loc, atol=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from conftest import check_gradients
 from mtlkit import objective as O
 from mtlkit import tensor as T
-from mtlkit.errors import BadLabel
+from mtlkit.errors import BadConfig, BadLabel
 from mtlkit.network import DualHeadNet, NetConfig
 from mtlkit.tensor import Tensor
 
@@ -114,27 +114,52 @@ class TestJointLoss:
     def net(self, P=2, Q=4, seed=0):
         return DualHeadNet(NetConfig(width=4, blocks=1), P, Q, seed)
 
+    def loss(self, net, batch, u, v, **kwargs):
+        les_logits, loc_logits, _, _ = net.forward(batch)
+        return O.joint_loss(les_logits, loc_logits, u, v, **kwargs)
+
     def test_gamma_zero_sum(self, rng):
+        # no decay term in the objective: total is exactly the two task losses
         net = self.net()
         batch = rng.normal(size=(1, 3, 8, 8))
-        bd, node = O.joint_loss(net, batch, [[1, 0]], [2], gamma=0.0)
-        assert bd.reg == 0.0
+        bd, node = self.loss(net, batch, [[1, 0]], [2])
         assert abs(bd.total - (bd.lesion_loss + bd.location_loss)) == 0.0
         assert abs(node.item() - bd.total) < 1e-12
+
+    def test_total_is_optimised_node_with_aux_weight(self, rng):
+        net = self.net()
+        bd, node = self.loss(net, rng.normal(size=(2, 3, 8, 8)), [[1, 0], [0, 1]], [1, 4],
+                             aux_weight=0.5)
+        assert bd.total == float(node.data)
+        assert abs(bd.total - (bd.lesion_loss + 0.5 * bd.location_loss)) < 1e-12
+
+    def test_single_task_modes(self, rng):
+        net = self.net()
+        batch = rng.normal(size=(2, 3, 8, 8))
+        les_logits, loc_logits, _, _ = net.forward(batch)
+        les = O.lesion_loss(les_logits, [[1, 0], [0, 1]]).item()
+        loc = O.location_loss(loc_logits, [1, 4]).item()
+        bd, node = self.loss(net, batch, [[1, 0], [0, 1]], [1, 4], mode="lesion_only")
+        assert (bd.lesion_loss, bd.location_loss, bd.total, node.item()) == (les, None, les, les)
+        bd, node = self.loss(net, batch, [[1, 0], [0, 1]], [1, 4], mode="location_only")
+        assert (bd.lesion_loss, bd.location_loss, bd.total, node.item()) == (None, loc, loc, loc)
+
+    def test_unknown_mode_rejected(self, rng):
+        with pytest.raises(BadConfig):
+            self.loss(self.net(), rng.normal(size=(1, 3, 8, 8)), [[1, 0]], [2], mode="both")
 
     def test_zero_heads_closed_form(self, rng):
         net = self.net()
         for p in (net.lesion_w, net.lesion_b, net.location_w, net.location_b):
             p.data[:] = 0.0
-        bd, _ = O.joint_loss(net, rng.normal(size=(1, 3, 8, 8)), [[1, 0]], [3], gamma=0.0)
+        bd, _ = self.loss(net, rng.normal(size=(1, 3, 8, 8)), [[1, 0]], [3])
         assert abs(bd.total - (2 * math.log(2) + math.log(4))) < 1e-12
 
     def test_breakdown_components_nonnegative(self, rng):
         net = self.net()
-        bd, _ = O.joint_loss(net, rng.normal(size=(2, 3, 8, 8)),
-                             [[1, 0], [0, 1]], [1, 4], gamma=1e-4)
-        assert bd.lesion_loss >= 0 and bd.location_loss >= 0 and bd.reg >= 0
-        assert bd.total == bd.lesion_loss + bd.location_loss + bd.reg
+        bd, _ = self.loss(net, rng.normal(size=(2, 3, 8, 8)), [[1, 0], [0, 1]], [1, 4])
+        assert bd.lesion_loss >= 0 and bd.location_loss >= 0
+        assert bd.total == bd.lesion_loss + bd.location_loss
 
     def test_full_net_gradient_check(self, rng):
         net = self.net(seed=5)
@@ -143,17 +168,7 @@ class TestJointLoss:
         v = np.array([2, 4])
 
         def f():
-            return O.joint_loss(net, batch, u, v, gamma=0.0)[1]
-
-        check_gradients(f, [p.tensor for p in net.parameters()])
-
-    def test_coupled_regularization_gradient(self, rng):
-        net = self.net(seed=6)
-        batch = rng.uniform(-1, 1, size=(1, 3, 8, 8))
-
-        def f():
-            return O.joint_loss(net, batch, [[1, 0]], [1], gamma=1e-2,
-                                decoupled_reg=False)[1]
+            return self.loss(net, batch, u, v)[1]
 
         check_gradients(f, [p.tensor for p in net.parameters()])
 
@@ -164,7 +179,7 @@ class TestJointLoss:
 
         def grads(v):
             net = self.net(seed=9)
-            _, node = O.joint_loss(net, batch, u, v, gamma=0.0)
+            _, node = self.loss(net, batch, u, v)
             T.backward(node)
             return net.lesion_w.grad.copy(), net.location_w.grad.copy()
 

@@ -13,7 +13,7 @@ from mtlkit.data import (
     planted_correlation,
     synthesize,
 )
-from mtlkit.errors import BadConfig
+from mtlkit.errors import BadConfig, EmptyDataset
 from mtlkit.network import DualHeadNet, NetConfig, load_checkpoint, save_checkpoint
 from mtlkit.training import (
     TrainConfig,
@@ -110,6 +110,118 @@ class TestTrainLoop:
             train(net, ds.samples, None, tiny_config(epochs=1, pretrain_epochs=warm))
             outs.append(net.location_w.data.copy())
         assert not np.array_equal(outs[0], outs[1])
+
+
+class TestObjectiveAndValidation:
+    """The logged objective is the optimised one; val runs one cached pass."""
+
+    def test_train_total_is_mean_of_optimised_nodes(self, monkeypatch):
+        from mtlkit import objective
+
+        nodes = []
+        original = objective.joint_loss
+
+        def recording(les_logits, *args, **kwargs):
+            bd, node = original(les_logits, *args, **kwargs)
+            nodes.append((float(node.data), les_logits.shape[0]))
+            return bd, node
+
+        monkeypatch.setattr(objective, "joint_loss", recording)
+        ds = tiny_dataset(25)
+        net = DualHeadNet(NetConfig(width=4, blocks=1), ds.P, ds.Q, seed=0)
+        log, _, _ = train(net, ds.samples, None,
+                          tiny_config(epochs=1, aux_weight=0.5, weight_decay=1e-2))
+        expected = sum(value * n for value, n in nodes) / sum(n for _, n in nodes)
+        assert [n for _, n in nodes] == [10, 10, 5]
+        assert log[0]["train_total"] == pytest.approx(expected, rel=1e-12)
+        assert log[0]["train_total"] == pytest.approx(
+            log[0]["train_lesion_loss"] + 0.5 * log[0]["train_location_loss"], rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["mtl", "lesion_only", "location_only"])
+    def test_val_loss_is_main_task_loss(self, mode):
+        from mtlkit.data import eval_transform
+        from mtlkit.objective import lesion_loss, location_loss
+
+        ds = tiny_dataset(25)
+        train_samples, val = ds.samples[:18], ds.samples[18:]
+        net = DualHeadNet(NetConfig(width=4, blocks=1), ds.P, ds.Q, seed=0)
+        seen = []
+
+        def on_epoch(record, opt, aug):
+            les, loc, _, _ = net.forward(np.stack([eval_transform(s, aug) for s in val]))
+            if mode == "location_only":
+                expected = location_loss(loc, [s.v for s in val]).item()
+            else:
+                expected = lesion_loss(les, np.stack([s.u for s in val])).item()
+            seen.append((record["val_loss"], expected))
+
+        train(net, train_samples, val,
+              tiny_config(mode=mode, epochs=2, batch_size=4, weight_decay=1e-2),
+              on_epoch=on_epoch)
+        assert len(seen) == 2
+        for got, expected in seen:
+            assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_eval_transform_once_per_val_sample(self, monkeypatch):
+        from collections import Counter
+
+        from mtlkit import training
+
+        calls = Counter()
+        original = training.eval_transform
+
+        def counting(sample, aug):
+            calls[sample.id] += 1
+            return original(sample, aug)
+
+        monkeypatch.setattr(training, "eval_transform", counting)
+        ds = tiny_dataset(20)
+        net = DualHeadNet(NetConfig(width=4, blocks=1), ds.P, ds.Q, seed=0)
+        train(net, ds.samples[:15], ds.samples[15:], tiny_config(epochs=3))
+        assert calls == Counter({s.id: 1 for s in ds.samples[15:]})
+
+    def test_val_metrics_and_decay_match_recomputation(self):
+        from mtlkit.metrics import map_image, top_k_accuracy
+
+        ds = tiny_dataset(25)
+        train_samples, val = ds.samples[:18], ds.samples[18:]
+        net = DualHeadNet(NetConfig(width=4, blocks=1), ds.P, ds.Q, seed=0)
+        cfg = tiny_config(epochs=2, batch_size=4, weight_decay=1e-2)
+        checked = []
+
+        def on_epoch(record, opt, aug):
+            les, loc = evaluate_scores(net, val, aug, cfg.batch_size)
+            assert record["val_map_image"] == map_image(les, np.stack([s.u for s in val]))[0]
+            assert record["val_top1"] == top_k_accuracy(loc, np.array([s.v for s in val]), 1)
+            decay = 0.5 * cfg.weight_decay * sum(float((p.tensor.data ** 2).sum())
+                                                 for p in opt.params)
+            assert record["decay"] == pytest.approx(decay, rel=1e-12)
+            checked.append(record["epoch"])
+
+        train(net, train_samples, val, cfg, on_epoch=on_epoch)
+        assert checked == [0, 1]
+
+
+class TestConfigAndEmptyInputs:
+    @pytest.mark.parametrize("mode", ["mtl", "lesion_only", "location_only"])
+    @pytest.mark.parametrize("bad", [dict(weight_decay=-1e-4), dict(lr=0.0), dict(lr=-0.1),
+                                     dict(batch_size=0)])
+    def test_bad_values_rejected_in_every_mode(self, mode, bad):
+        ds = tiny_dataset(9)
+        cfg = tiny_config(mode=mode, **bad)
+        net = DualHeadNet(NetConfig(width=4, blocks=1), ds.P, ds.Q, seed=0)
+        with pytest.raises(BadConfig):
+            train(net, ds.samples, None, cfg)
+        with pytest.raises(BadConfig):
+            cross_validate(ds, cfg)
+
+    def test_empty_inputs_raise_empty_dataset(self):
+        ds = tiny_dataset(6)
+        net = DualHeadNet(NetConfig(width=4, blocks=1), ds.P, ds.Q, seed=0)
+        with pytest.raises(EmptyDataset):
+            train(net, [], ds.samples, tiny_config())
+        with pytest.raises(EmptyDataset):
+            evaluate_scores(net, [], TINY_AUG)
 
 
 class TestSmoke:
