@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -37,21 +37,57 @@ def _load_json(path):
         return json.load(f)
 
 
-def _sub_config(cls, d: dict, section: str):
+# JSON types accepted for a field, keyed by the type of its default value;
+# a float field takes an int too, and no numeric field takes a bool
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _check_value(key, value, kind):
+    ok = _JSON_TYPES[kind]
+    if not isinstance(value, ok) or (isinstance(value, bool) and bool not in ok):
+        raise BadConfig(f"{key} must be {kind.__name__}, got {value!r}")
+
+
+def _check_types(cls, d: dict, prefix: str = ""):
+    """Type-check the scalar fields of dataclass cls present in d."""
+    for f in fields(cls):
+        if f.name in d and type(f.default) in _JSON_TYPES:
+            _check_value(prefix + f.name, d[f.name], type(f.default))
+
+
+def _sub_config(cls, d, section: str):
+    if not isinstance(d, dict):
+        raise BadConfig(f"{section} must be an object, got {d!r}")
     unknown = sorted(set(d) - set(cls.__dataclass_fields__))
     if unknown:
         raise BadConfig(f"unknown key(s) in {section!r}: {', '.join(unknown)}")
+    _check_types(cls, d, section + ".")
     return cls(**d)
 
 
 def train_config_from_dict(d: dict) -> TrainConfig:
-    """Unknown top-level keys are left to the caller; unknown nested ones raise."""
+    """Unknown top-level keys are left to the caller; unknown nested ones
+    raise, and so does a known value of the wrong JSON type."""
+    if not isinstance(d, dict):
+        raise BadConfig(f"config must be an object, got {d!r}")
     d = dict(d)
     net = _sub_config(NetConfig, d.pop("net", {}), "net")
     plateau = _sub_config(PlateauConfig, d.pop("plateau", {}), "plateau")
     augment = _sub_config(AugmentConfig, d.pop("augment", {}), "augment")
     known = {k: d[k] for k in d if k in TrainConfig.__dataclass_fields__}
+    _check_types(TrainConfig, known)
     return TrainConfig(net=net, plateau=plateau, augment=augment, **known)
+
+
+def _run_config(args):
+    """The raw config file and its TrainConfig with --seed/--epochs/--mode applied."""
+    raw = _load_json(args.config)
+    cfg = train_config_from_dict(raw)
+    if not isinstance(raw.get("manifest"), str):
+        raise BadConfig(f"manifest must be a path string, got {raw.get('manifest')!r}")
+    overrides = {k: getattr(args, k) for k in ("seed", "epochs", "mode")
+                 if getattr(args, k) is not None}
+    return raw, replace(cfg, **overrides)
 
 
 def _aug_to_blob(aug: AugmentConfig) -> dict:
@@ -101,20 +137,18 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    raw = _load_json(args.config)
-    cfg = train_config_from_dict(raw)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.epochs is not None:
-        cfg = replace(cfg, epochs=args.epochs)
-    if args.mode is not None:
-        cfg = replace(cfg, mode=args.mode)
-    ds = load_manifest(raw["manifest"])
+    raw, cfg = _run_config(args)
+    val_fraction = raw.get("val_fraction", 0.1)
+    _check_value("val_fraction", val_fraction, float)
+    if not 0 <= val_fraction < 1:
+        raise BadConfig(f"val_fraction must lie in [0, 1), got {val_fraction!r}")
     out_dir = args.out_dir or raw.get("out_dir", ".")
+    _check_value("out_dir", out_dir, str)
+    ds = load_manifest(raw["manifest"])
     os.makedirs(out_dir, exist_ok=True)
 
     rng = np.random.default_rng(cfg.seed)
-    n_val = int(round(len(ds) * float(raw.get("val_fraction", 0.1))))
+    n_val = int(round(len(ds) * val_fraction))
     perm = rng.permutation(len(ds))
     val_samples = [ds.samples[i] for i in perm[:n_val]]
     train_samples = [ds.samples[i] for i in perm[n_val:]]
@@ -196,14 +230,7 @@ def cmd_ensemble(args):
 
 
 def cmd_cv(args):
-    raw = _load_json(args.config)
-    cfg = train_config_from_dict(raw)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.mode is not None:
-        cfg = replace(cfg, mode=args.mode)
-    if args.epochs is not None:
-        cfg = replace(cfg, epochs=args.epochs)
+    raw, cfg = _run_config(args)
     ds = load_manifest(raw["manifest"])
     report = cross_validate(ds, cfg)
     _emit_report(report, args.report_out)

@@ -313,8 +313,9 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[None, :, None]
     wx = (xs - x0)[None, None, :]
-    top = image[:, y0][:, :, x0] * (1 - wx) + image[:, y0][:, :, x1] * wx
-    bot = image[:, y1][:, :, x0] * (1 - wx) + image[:, y1][:, :, x1] * wx
+    rows0, rows1 = image[:, y0], image[:, y1]
+    top = rows0[:, :, x0] * (1 - wx) + rows0[:, :, x1] * wx
+    bot = rows1[:, :, x0] * (1 - wx) + rows1[:, :, x1] * wx
     return top * (1 - wy) + bot * wy
 
 

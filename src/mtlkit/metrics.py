@@ -58,8 +58,10 @@ def average_precision(scores, labels) -> float:
 def map_class(s: ScoreMatrix, u) -> tuple:
     """Class-wise mAP: one ranking of all images per class.
 
-    Classes with no positives are excluded from the mean and reported.
-    Returns (mAP, per-class AP list with None for excluded, excluded list).
+    Classes with no positives are excluded from the mean and reported;
+    if no class has a positive, the mean is undefined and NoPositives is
+    raised. Returns (mAP, per-class AP list with None for excluded,
+    excluded list).
     """
     u = np.asarray(u)
     n, p = s.scores.shape
@@ -73,6 +75,8 @@ def map_class(s: ScoreMatrix, u) -> tuple:
             aps.append(None)
             excluded.append(j)
     kept = [a for a in aps if a is not None]
+    if not kept:
+        raise NoPositives("no class has a positive label")
     return float(np.mean(kept)), aps, excluded
 
 

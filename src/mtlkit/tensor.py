@@ -10,14 +10,20 @@ a tensor twice yields the sum of both path gradients.
 Conventions fixed for determinism:
   * everything is float64, row-major;
   * relu's subgradient at exactly 0 is 0;
-  * maxpool ties go to the first (lowest flat index) element;
+  * maxpool ties go to the first element of the window in row-major
+    order (window element n = i*k + j, the lowest n wins), and the
+    whole output gradient of the window lands on that element;
   * broadcasting is limited to bias_add over the channel/feature axis.
+
+Layout: conv2d keeps its im2col matrix as (B, C*kh*kw, Ho*Wo), pixels
+contiguous, so the forward pass is one batched matmul whose result is
+already NCHW, and neither pass copies a transpose. maxpool2d stacks the
+k*k strided views of each window into a leading axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonScalarRoot, ShapeMismatch
 
@@ -228,30 +234,33 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
 
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (B, Ho, Wo, C*kh*kw) im2col matrix, cached for the backward pass
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        bsz * ho * wo, cin * kh * kw
-    )
+    # im2col matrix (B, C*kh*kw, Ho*Wo), pixels contiguous, cached for the
+    # backward pass: row c*kh*kw + i*kw + j holds tap (i, j) of channel c
+    # at every output pixel
+    cols = np.empty((bsz, cin, kh, kw, ho, wo))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    cols = cols.reshape(bsz, cin * kh * kw, ho * wo)
     wmat = w.data.reshape(cout, -1)
-    out = (cols @ wmat.T).reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
+    out = np.matmul(wmat, cols).reshape(bsz, cout, ho, wo)
 
     def bwd(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bsz * ho * wo, cout)
-        _accumulate(w, (gmat.T @ cols).reshape(w.shape))
+        g3 = g.reshape(bsz, cout, ho * wo)
+        _accumulate(w, np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
         if x.requires_grad or x._parents:
-            gcols = (gmat @ wmat).reshape(bsz, ho, wo, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+            gcols = np.matmul(wmat.T, g3).reshape(bsz, cin, kh, kw, ho, wo)
             gxp = np.zeros((bsz, cin, hp, wp))
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[
-                        :, :, :, :, i, j
+                        :, :, i, j
                     ]
             if padding:
                 gxp = gxp[:, :, padding : hp - padding, padding : wp - padding]
             _accumulate(x, gxp)
 
-    return _result(np.ascontiguousarray(out), (x, w), bwd)
+    return _result(out, (x, w), bwd)
 
 
 def maxpool2d(x: Tensor, k: int) -> Tensor:
@@ -262,19 +271,27 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
     if h % k or wd % k:
         raise ShapeMismatch(f"H, W divisible by {k}", (h, wd), "maxpool2d")
     ho, wo = h // k, wd // k
-    win = x.data.reshape(bsz, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(
-        bsz, c, ho, wo, k * k
-    )
-    idx = win.argmax(axis=-1)  # argmax takes the first max: deterministic ties
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    tiles = x.data.reshape(bsz, c, ho, k, wo, k)
+    # (k*k, B, C, Ho, Wo): window element n = i*k + j is tiles[:, :, :, i, :, j]
+    win = np.stack([tiles[:, :, :, i, :, j] for i in range(k) for j in range(k)])
+    # idx equals win.argmax(axis=0) without the transpose copy argmax makes
+    # for a leading axis: the first element equal to the max, or the first
+    # NaN when the max is NaN. The output is the element at idx, so a -0.0
+    # tied with 0.0 keeps its sign.
+    top = win.max(axis=0)
+    idx = np.zeros(top.shape, np.intp)
+    found = np.zeros(top.shape, bool)
+    for v in win[:-1]:
+        found |= (v == top) | (v != v)
+        idx += ~found
+    flat = win.reshape(k * k, -1)
+    out = flat[idx.reshape(-1), np.arange(flat.shape[1])].reshape(top.shape)
 
     def bwd(g):
-        gwin = np.zeros_like(win)
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gx = gwin.reshape(bsz, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(
-            bsz, c, h, wd
-        )
-        _accumulate(x, gx)
+        gx = np.empty((bsz, c, ho, k, wo, k))
+        for n in range(k * k):
+            gx[:, :, :, n // k, :, n % k] = np.where(idx == n, g, 0.0)
+        _accumulate(x, gx.reshape(bsz, c, h, wd))
 
     return _result(out, (x,), bwd)
 

@@ -261,3 +261,57 @@ def test_truncated_ppm_fails_in_one_line(workspace, tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", workspace["ckpt"], str(data_dir / "manifest.jsonl")]) == 1
     _single_error(capsys, "ParseError")
+
+
+def _run_bad_config(workspace, tmp_path, capsys, edit, command="train"):
+    raw = json.loads(open(workspace["cfg_path"]).read())
+    edit(raw)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    out = ["--out-dir", str(tmp_path / "run")] if command == "train" else []
+    assert main([command, str(cfg_path), *out]) == 1
+    assert not (tmp_path / "run").exists()
+    return _single_error(capsys, "BadConfig")
+
+
+@pytest.mark.parametrize("value", [-0.5, 1.0, 1.5, "0.1", None, True])
+def test_val_fraction_outside_unit_interval_is_bad_config(workspace, tmp_path, capsys, value):
+    line = _run_bad_config(workspace, tmp_path, capsys,
+                           lambda raw: raw.update(val_fraction=value))
+    assert "val_fraction" in line
+
+
+@pytest.mark.parametrize("key, value", [
+    ("net", None), ("plateau", [1]), ("augment", "x"), ("lr", "0.1"), ("epochs", 2.5),
+    ("batch_size", True), ("mode", 3), ("use_ten_crop", 1), ("manifest", None),
+])
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_wrongly_typed_config_value_is_bad_config(workspace, tmp_path, capsys, key, value,
+                                                  command):
+    line = _run_bad_config(workspace, tmp_path, capsys, lambda raw: raw.update({key: value}),
+                           command)
+    assert key in line
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("net", "width", "8"), ("net", "head_w_mult", None), ("plateau", "patience", 1.5),
+    ("augment", "crop", 8.0), ("augment", "flip_prob", False),
+])
+def test_wrongly_typed_nested_value_is_bad_config(workspace, tmp_path, capsys, section, key,
+                                                  value):
+    line = _run_bad_config(workspace, tmp_path, capsys,
+                           lambda raw: raw.setdefault(section, {}).update({key: value}))
+    assert f"{section}.{key}" in line
+
+
+def test_non_object_config_is_bad_config(tmp_path, capsys):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text("[1, 2]")
+    assert main(["train", str(cfg_path)]) == 1
+    _single_error(capsys, "BadConfig")
+
+
+def test_float_fields_accept_ints():
+    cfg = train_config_from_dict({"lr": 1, "net": {"head_w_mult": 5}, "plateau": {"factor": 0}})
+    assert cfg.lr == 1 and cfg.net.head_w_mult == 5 and cfg.plateau.factor == 0

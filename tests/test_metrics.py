@@ -132,6 +132,11 @@ class TestMaps:
         assert excluded == [2]
         assert per_class[2] is None
 
+    def test_map_class_without_any_positive_raises(self, rng):
+        sm = ScoreMatrix(rng.random((4, 3)), [f"s{i}" for i in range(4)], "lesion")
+        with pytest.raises(NoPositives):
+            map_class(sm, np.zeros((4, 3), dtype=int))
+
     def test_oracle_equivalence_random(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 33))

@@ -155,3 +155,100 @@ class TestGradientCheck:
     def test_sum_squares(self, rng):
         x = t(rng.uniform(-1, 1, size=(5,)))
         check_gradients(lambda: T.sum_squares(x), [x])
+
+
+# ---------------------------------------------------------------------------
+# kernels against direct-loop references
+
+
+def conv2d_loop(x, w, g, stride, padding):
+    """Direct-loop cross-correlation: (output, weight grad, input grad) for
+    upstream gradient g."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    bsz, _, hp, wp = xp.shape
+    cout, _, kh, kw = w.shape
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    out = np.zeros((bsz, cout, ho, wo))
+    gw = np.zeros_like(w)
+    gxp = np.zeros_like(xp)
+    for b in range(bsz):
+        for o in range(cout):
+            for r in range(ho):
+                for c in range(wo):
+                    rows = slice(r * stride, r * stride + kh)
+                    cols = slice(c * stride, c * stride + kw)
+                    out[b, o, r, c] = np.sum(xp[b, :, rows, cols] * w[o])
+                    gw[o] += g[b, o, r, c] * xp[b, :, rows, cols]
+                    gxp[b, :, rows, cols] += g[b, o, r, c] * w[o]
+    gx = gxp[:, :, padding : hp - padding, padding : wp - padding]
+    return out, gw, gx
+
+
+def maxpool_loop(x, g, k):
+    """Direct-loop k x k max pooling: (output, input grad); a tie goes to the
+    first element in row-major window order."""
+    bsz, c, h, wd = x.shape
+    out = np.zeros((bsz, c, h // k, wd // k))
+    gx = np.zeros_like(x)
+    for b in range(bsz):
+        for ch in range(c):
+            for r in range(h // k):
+                for col in range(wd // k):
+                    best = None
+                    for i in range(k):
+                        for j in range(k):
+                            v = x[b, ch, r * k + i, col * k + j]
+                            if best is None or v > best[0]:
+                                best = (v, r * k + i, col * k + j)
+                    out[b, ch, r, col] = best[0]
+                    gx[b, ch, best[1], best[2]] += g[b, ch, r, col]
+    return out, gx
+
+
+def vjp(out, g):
+    """Run out's backward rule on upstream gradient g (not just ones)."""
+    out._backward(g)
+
+
+class TestKernelReference:
+    @pytest.mark.parametrize("bsz", [1, 20])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_conv2d_matches_loop(self, rng, bsz, stride, padding):
+        x = t(rng.normal(size=(bsz, 3, 7, 5)))
+        w = t(rng.normal(size=(4, 3, 3, 2)))
+        out = T.conv2d(x, w, stride=stride, padding=padding)
+        g = rng.normal(size=out.shape)
+        vjp(out, g)
+        ref_out, ref_gw, ref_gx = conv2d_loop(x.data, w.data, g, stride, padding)
+        assert out.data.flags.c_contiguous
+        np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w.grad, ref_gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, ref_gx, rtol=0, atol=1e-12)
+
+    def test_conv2d_constant_input_skips_input_grad(self, rng):
+        x = t(rng.normal(size=(2, 3, 6, 4)), grad=False)
+        w = t(rng.normal(size=(2, 3, 3, 3)))
+        out = T.conv2d(x, w, padding=1)
+        g = rng.normal(size=out.shape)
+        vjp(out, g)
+        _, ref_gw, _ = conv2d_loop(x.data, w.data, g, 1, 1)
+        assert x.grad is None
+        np.testing.assert_allclose(w.grad, ref_gw, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_maxpool_matches_loop_exactly(self, rng, k):
+        # post-ReLU input: many windows are all zero, where ties are certain
+        data = np.maximum(rng.normal(size=(20, 3, 6 * k // 2, 4 * k // 2)) - 0.5, 0.0)
+        data[0, 0] = 0.0
+        data[1, 1, :k, :k] = 2.0  # one window tied at a non-zero maximum
+        data[2, 2, :k, :k] = -0.0  # a zero tie whose first element is -0.0
+        data[2, 2, k - 1, k - 1] = 0.0
+        x = t(data)
+        out = T.maxpool2d(x, k)
+        g = rng.normal(size=out.shape)
+        vjp(out, g)
+        ref_out, ref_gx = maxpool_loop(x.data, g, k)
+        assert (ref_out == 0.0).any() and np.signbit(ref_out[2, 2, 0, 0])
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert x.grad.tobytes() == ref_gx.tobytes()
