@@ -60,8 +60,8 @@ def retrieve(index: FeatureIndex, query: np.ndarray, k: int) -> list:
     if not 1 <= k <= n:
         raise BadK(f"k must lie in 1..{n}, got {k}")
     dists = np.sqrt(((index.features - np.asarray(query)) ** 2).sum(axis=1))
-    ranked = sorted(zip(dists, index.ids), key=lambda t: (t[0], t[1]))
-    return [(sid, float(d)) for d, sid in ranked[:k]]
+    order = np.lexsort((np.asarray(index.ids), dists))[:k]
+    return [(index.ids[i], float(dists[i])) for i in order]
 
 
 def attention(net: DualHeadNet, image: np.ndarray, head: str, class_index: int,

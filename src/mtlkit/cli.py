@@ -33,8 +33,13 @@ from .training import TrainConfig, cross_validate, evaluate_scores, fold_metrics
 
 
 def _load_json(path):
-    with open(path) as f:
-        return json.load(f)
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        raise BadConfig(f"cannot read {path}: {e.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise BadConfig(f"{path} is not valid JSON: {e}") from None
 
 
 # JSON types accepted for a field, keyed by the type of its default value;
@@ -65,18 +70,25 @@ def _sub_config(cls, d, section: str):
     return cls(**d)
 
 
+# top-level config keys that the train and cv commands read themselves
+_CLI_KEYS = ("manifest", "val_fraction", "out_dir")
+
+
 def train_config_from_dict(d: dict) -> TrainConfig:
-    """Unknown top-level keys are left to the caller; unknown nested ones
-    raise, and so does a known value of the wrong JSON type."""
+    """An unknown key, top-level or nested, raises, and so does a known
+    value of the wrong JSON type. The top-level _CLI_KEYS (manifest,
+    val_fraction, out_dir) are allowed and left to the caller."""
     if not isinstance(d, dict):
         raise BadConfig(f"config must be an object, got {d!r}")
-    d = dict(d)
+    unknown = sorted(set(d) - set(TrainConfig.__dataclass_fields__) - set(_CLI_KEYS))
+    if unknown:
+        raise BadConfig(f"unknown config key(s): {', '.join(unknown)}")
+    d = {k: v for k, v in d.items() if k not in _CLI_KEYS}
     net = _sub_config(NetConfig, d.pop("net", {}), "net")
     plateau = _sub_config(PlateauConfig, d.pop("plateau", {}), "plateau")
     augment = _sub_config(AugmentConfig, d.pop("augment", {}), "augment")
-    known = {k: d[k] for k in d if k in TrainConfig.__dataclass_fields__}
-    _check_types(TrainConfig, known)
-    return TrainConfig(net=net, plateau=plateau, augment=augment, **known)
+    _check_types(TrainConfig, d)
+    return TrainConfig(net=net, plateau=plateau, augment=augment, **d)
 
 
 def _run_config(args):

@@ -302,11 +302,19 @@ def channel_means(samples) -> np.ndarray:
     return total / count
 
 
-def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Corner-aligned bilinear resize of a C x H x W image."""
+def resize_bilinear(image: np.ndarray, out_h: int, out_w: int, window=None) -> np.ndarray:
+    """Corner-aligned bilinear resize of a C x H x W image.
+
+    With ``window=(r0, c0, rows, cols)`` only rows r0 .. r0+rows-1 and
+    columns c0 .. c0+cols-1 of the out_h x out_w result are computed; they
+    equal the same slice of the full resize.
+    """
     c, h, w = image.shape
     ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
     xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
+    if window is not None:
+        r0, c0, rows, cols = window
+        ys, xs = ys[r0 : r0 + rows], xs[c0 : c0 + cols]
     y0 = np.floor(ys).astype(np.intp)
     x0 = np.floor(xs).astype(np.intp)
     y1 = np.minimum(y0 + 1, h - 1)
@@ -319,11 +327,16 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - wy) + bot * wy
 
 
-def resize_shorter_side(image: np.ndarray, s: int) -> np.ndarray:
+def _shorter_side_shape(image: np.ndarray, s: int) -> tuple:
+    """(H, W) of the image resized so its shorter side is s."""
     _, h, w = image.shape
     if h <= w:
-        return resize_bilinear(image, s, max(1, int(round(w * s / h))))
-    return resize_bilinear(image, max(1, int(round(h * s / w))), s)
+        return s, max(1, int(round(w * s / h)))
+    return max(1, int(round(h * s / w))), s
+
+
+def resize_shorter_side(image: np.ndarray, s: int) -> np.ndarray:
+    return resize_bilinear(image, *_shorter_side_shape(image, s))
 
 
 def _subtract_means(image: np.ndarray, means) -> np.ndarray:
@@ -334,16 +347,16 @@ def _subtract_means(image: np.ndarray, means) -> np.ndarray:
 
 def augment(sample: Sample, rng: np.random.Generator, cfg: AugmentConfig) -> np.ndarray:
     """Training-time transform: jittered resize, mean subtraction,
-    random crop, horizontal flip. Output is C x crop x crop."""
+    random crop, horizontal flip. Output is C x crop x crop. Only the
+    crop window of the jittered image is resampled."""
     s = int(rng.integers(cfg.jitter_min, cfg.jitter_max + 1))
-    img = resize_shorter_side(sample.image, s)
-    _, h, w = img.shape
+    h, w = _shorter_side_shape(sample.image, s)
     if cfg.crop > min(h, w):
         raise CropTooLarge(f"crop {cfg.crop} exceeds jittered size {(h, w)}")
-    img = _subtract_means(img, cfg.channel_means)
     top = int(rng.integers(0, h - cfg.crop + 1))
     left = int(rng.integers(0, w - cfg.crop + 1))
-    img = img[:, top : top + cfg.crop, left : left + cfg.crop]
+    img = resize_bilinear(sample.image, h, w, window=(top, left, cfg.crop, cfg.crop))
+    img = _subtract_means(img, cfg.channel_means)
     if rng.random() < cfg.flip_prob:
         img = img[:, :, ::-1]
     return np.ascontiguousarray(img)
@@ -351,15 +364,13 @@ def augment(sample: Sample, rng: np.random.Generator, cfg: AugmentConfig) -> np.
 
 def eval_transform(sample: Sample, cfg: AugmentConfig) -> np.ndarray:
     """Deterministic test-time transform: eval-scale resize, mean
-    subtraction, center crop."""
-    img = resize_shorter_side(sample.image, cfg.eval_scale)
-    _, h, w = img.shape
+    subtraction, center crop. Only the crop window is resampled."""
+    h, w = _shorter_side_shape(sample.image, cfg.eval_scale)
     if cfg.crop > min(h, w):
         raise CropTooLarge(f"crop {cfg.crop} exceeds eval size {(h, w)}")
-    img = _subtract_means(img, cfg.channel_means)
-    top = (h - cfg.crop) // 2
-    left = (w - cfg.crop) // 2
-    return np.ascontiguousarray(img[:, top : top + cfg.crop, left : left + cfg.crop])
+    window = ((h - cfg.crop) // 2, (w - cfg.crop) // 2, cfg.crop, cfg.crop)
+    img = resize_bilinear(sample.image, h, w, window=window)
+    return np.ascontiguousarray(_subtract_means(img, cfg.channel_means))
 
 
 def ten_crop(sample: Sample, cfg: AugmentConfig) -> list:

@@ -17,7 +17,11 @@ Conventions fixed for determinism:
 
 Layout: conv2d keeps its im2col matrix as (B, C*kh*kw, Ho*Wo), pixels
 contiguous, so the forward pass is one batched matmul whose result is
-already NCHW, and neither pass copies a transpose. maxpool2d stacks the
+already NCHW, and neither pass copies a transpose. The input gradient has
+no col2im scatter: it is the im2col (stride 1) of the output gradient,
+dilated by the stride and framed by kh-1 / kw-1 zeros, times the flipped
+kernel with its channel axes swapped, read at the padding offset so the
+result is already the unpadded (B, C, H, W) gradient. maxpool2d stacks the
 k*k strided views of each window into a leading axis.
 """
 
@@ -216,6 +220,19 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
 # convolution / pooling
 
 
+def _im2col(xp, kh, kw, stride, ho, wo, off=0):
+    """im2col matrix (B, C*kh*kw, Ho*Wo) of xp, pixels contiguous: row
+    c*kh*kw + i*kw + j, column r*Wo + s holds xp[:, c, off + i + stride*r,
+    off + j + stride*s], tap (i, j) of channel c at output pixel (r, s)."""
+    bsz, c = xp.shape[:2]
+    cols = np.empty((bsz, c, kh, kw, ho, wo))
+    for i in range(kh):
+        for j in range(kw):
+            y, x = off + i, off + j
+            cols[:, :, i, j] = xp[:, :, y : y + stride * ho : stride, x : x + stride * wo : stride]
+    return cols.reshape(bsz, c * kh * kw, ho * wo)
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of a B,C,H,W batch with O,C,kh,kw filters."""
     if x.ndim != 4 or w.ndim != 4:
@@ -224,24 +241,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     cout, cw, kh, kw = w.shape
     if cw != cin:
         raise ShapeMismatch(cin, cw, "conv2d channels")
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
     hp, wp = h + 2 * padding, wd + 2 * padding
     if hp < kh or wp < kw:
         raise ShapeMismatch(f"image >= kernel {kh}x{kw}", (hp, wp), "conv2d")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
+    if padding:
+        xp = np.zeros((bsz, cin, hp, wp))
+        xp[:, :, padding : padding + h, padding : padding + wd] = x.data
+    else:
+        xp = x.data
 
-    # im2col matrix (B, C*kh*kw, Ho*Wo), pixels contiguous, cached for the
-    # backward pass: row c*kh*kw + i*kw + j holds tap (i, j) of channel c
-    # at every output pixel
-    cols = np.empty((bsz, cin, kh, kw, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    cols = cols.reshape(bsz, cin * kh * kw, ho * wo)
+    cols = _im2col(xp, kh, kw, stride, ho, wo)  # cached for the weight gradient
     wmat = w.data.reshape(cout, -1)
     out = np.matmul(wmat, cols).reshape(bsz, cout, ho, wo)
 
@@ -249,16 +260,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         g3 = g.reshape(bsz, cout, ho * wo)
         _accumulate(w, np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
         if x.requires_grad or x._parents:
-            gcols = np.matmul(wmat.T, g3).reshape(bsz, cin, kh, kw, ho, wo)
-            gxp = np.zeros((bsz, cin, hp, wp))
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[
-                        :, :, i, j
-                    ]
-            if padding:
-                gxp = gxp[:, :, padding : hp - padding, padding : wp - padding]
-            _accumulate(x, gxp)
+            # the input gradient is a stride-1 correlation of g, dilated by
+            # stride and framed by kh-1 / kw-1 zeros, with the flipped kernel
+            # (channels swapped); offset by padding it covers only the
+            # unpadded input, so no scatter and no crop
+            gd = np.zeros((bsz, cout, hp + kh - 1, wp + kw - 1))
+            gd[:, :, kh - 1 : kh - 1 + stride * ho : stride,
+               kw - 1 : kw - 1 + stride * wo : stride] = g
+            wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+            gcols = _im2col(gd, kh, kw, 1, h, wd, off=padding)
+            _accumulate(x, np.matmul(wflip, gcols).reshape(bsz, cin, h, wd))
 
     return _result(out, (x, w), bwd)
 

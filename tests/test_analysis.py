@@ -60,6 +60,15 @@ class TestRetrieval:
         out = retrieve(index, np.zeros(2), 3)
         assert [sid for sid, _ in out] == ["a", "b", "c"]
 
+    def test_exact_ties_in_ascending_id_order(self):
+        # four points at distance exactly 1 around the query, listed out of
+        # id order; ids compare as strings, so "s10" sorts before "s2"
+        feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+        index = FeatureIndex(feats, ["s3", "s10", "z", "s1", "s2"])
+        out = retrieve(index, np.zeros(2), 5)
+        assert out == [("z", 0.0), ("s1", 1.0), ("s10", 1.0), ("s2", 1.0), ("s3", 1.0)]
+        assert retrieve(index, np.zeros(2), 3) == out[:3]
+
     def test_translation_invariance(self, rng):
         feats = rng.normal(size=(6, 4))
         q = rng.normal(size=4)

@@ -209,7 +209,8 @@ def test_unknown_sample_id_exits_nonzero(workspace, capsys):
 
 
 def test_train_config_from_dict_ignores_extras():
-    cfg = train_config_from_dict({"epochs": 3, "manifest": "x.jsonl", "val_fraction": 0.2})
+    cfg = train_config_from_dict({"epochs": 3, "manifest": "x.jsonl", "val_fraction": 0.2,
+                                  "out_dir": "run"})
     assert isinstance(cfg, TrainConfig) and cfg.epochs == 3
 
 
@@ -315,3 +316,22 @@ def test_non_object_config_is_bad_config(tmp_path, capsys):
 def test_float_fields_accept_ints():
     cfg = train_config_from_dict({"lr": 1, "net": {"head_w_mult": 5}, "plateau": {"factor": 0}})
     assert cfg.lr == 1 and cfg.net.head_w_mult == 5 and cfg.plateau.factor == 0
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "synth"])
+@pytest.mark.parametrize("content", [None, '{"manifest": ', "\xff\xfe"])
+def test_unreadable_config_file_is_bad_config(tmp_path, capsys, command, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_bytes(content.encode("latin-1"))
+    args = [command, str(path)] + ([str(tmp_path / "out")] if command == "synth" else [])
+    assert main(args) == 1
+    assert str(path) in _single_error(capsys, "BadConfig")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_unknown_top_level_config_key_is_bad_config(workspace, tmp_path, capsys, command):
+    line = _run_bad_config(workspace, tmp_path, capsys,
+                           lambda raw: raw.update(learning_rate=0.1), command)
+    assert "learning_rate" in line

@@ -15,6 +15,7 @@ from mtlkit.data import (
     planted_correlation,
     read_ppm,
     resize_bilinear,
+    resize_shorter_side,
     save_manifest,
     synthesize,
     ten_crop,
@@ -178,6 +179,48 @@ class TestAugment:
         cfg = AugmentConfig(jitter_min=10, jitter_max=10, crop=12)
         with pytest.raises(CropTooLarge):
             augment(self.sample(np.zeros((3, 8, 8))), np.random.default_rng(0), cfg)
+
+
+def augment_reference(sample, rng, cfg):
+    """augment as full jittered resize, mean subtraction, crop, flip."""
+    img = resize_shorter_side(sample.image, int(rng.integers(cfg.jitter_min, cfg.jitter_max + 1)))
+    _, h, w = img.shape
+    img = img - cfg.channel_means[:, None, None]
+    top = int(rng.integers(0, h - cfg.crop + 1))
+    left = int(rng.integers(0, w - cfg.crop + 1))
+    img = img[:, top : top + cfg.crop, left : left + cfg.crop]
+    return img[:, :, ::-1] if rng.random() < cfg.flip_prob else img
+
+
+def eval_transform_reference(sample, cfg):
+    """eval_transform as full resize, mean subtraction, center crop."""
+    img = resize_shorter_side(sample.image, cfg.eval_scale) - cfg.channel_means[:, None, None]
+    _, h, w = img.shape
+    top, left = (h - cfg.crop) // 2, (w - cfg.crop) // 2
+    return img[:, top : top + cfg.crop, left : left + cfg.crop]
+
+
+@pytest.mark.parametrize("shape", [(3, 32, 32), (3, 23, 41), (3, 45, 19), (1, 9, 30)])
+def test_windowed_transforms_equal_full_resize_then_crop(rng, shape):
+    cfg = AugmentConfig(channel_means=rng.normal(size=shape[0]))
+    sample = Sample(rng.random(shape), np.array([1]), 1, "s")
+    want = eval_transform_reference(sample, cfg)
+    got = eval_transform(sample, cfg)
+    assert got.flags.c_contiguous and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    mine, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(40):
+        got, want = augment(sample, mine, cfg), augment_reference(sample, ref, cfg)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert mine.bit_generator.state == ref.bit_generator.state
+
+
+def test_resize_window_is_slice_of_full_resize(rng):
+    img = rng.random((3, 11, 17))
+    full = resize_bilinear(img, 25, 31)
+    part = resize_bilinear(img, 25, 31, window=(4, 9, 13, 20))
+    assert part.tobytes() == np.ascontiguousarray(full[:, 4:17, 9:29]).tobytes()
 
 
 class TestTenCrop:

@@ -213,10 +213,20 @@ def vjp(out, g):
 class TestKernelReference:
     @pytest.mark.parametrize("bsz", [1, 20])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
     def test_conv2d_matches_loop(self, rng, bsz, stride, padding):
+        # padding 2 is >= the kernel width
+        self.check_conv2d(rng, bsz, (3, 2), stride, padding)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_conv2d_1x1_matches_loop(self, rng, stride, padding):
+        self.check_conv2d(rng, 2, (1, 1), stride, padding)
+
+    @staticmethod
+    def check_conv2d(rng, bsz, kernel, stride, padding):
         x = t(rng.normal(size=(bsz, 3, 7, 5)))
-        w = t(rng.normal(size=(4, 3, 3, 2)))
+        w = t(rng.normal(size=(4, 3, *kernel)))
         out = T.conv2d(x, w, stride=stride, padding=padding)
         g = rng.normal(size=out.shape)
         vjp(out, g)
