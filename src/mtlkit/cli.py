@@ -29,7 +29,7 @@ from .data import (
 from .errors import BadConfig, BadSpec, DimensionMismatch, MtlkitError
 from .network import DualHeadNet, NetConfig, load_checkpoint, save_checkpoint
 from .optim import PlateauConfig
-from .training import TrainConfig, cross_validate, evaluate_scores, fold_metrics, train
+from .training import TrainConfig, cross_validate, fold_metrics, train
 
 
 def _load_json(path):
@@ -129,19 +129,24 @@ def _check_dims(net: DualHeadNet, ds):
 
 def cmd_synth(args):
     spec_dict = _load_json(args.spec)
-    p, q = int(spec_dict["P"]), int(spec_dict["Q"])
-    if "R" in spec_dict:
-        r = np.asarray(spec_dict["R"], dtype=np.float64)
-    else:
-        r = planted_correlation(p, q, float(spec_dict.get("correlation_strength", 0.9)))
-    spec = SynthSpec(
-        P=p, Q=q, N=int(spec_dict["N"]), R=r,
-        noise=float(spec_dict.get("noise", 0.08)),
-        image_size=tuple(spec_dict.get("image_size", (3, 32, 32))),
-        seed=int(spec_dict.get("seed", 0)) if args.seed is None else args.seed,
-        multi_rate=float(spec_dict.get("multi_rate", 0.3)),
-        lesion_amplitude=float(spec_dict.get("lesion_amplitude", 0.10)),
-    )
+    if not isinstance(spec_dict, dict) or not {"P", "Q", "N"} <= set(spec_dict):
+        raise BadSpec(f"{args.spec}: spec must be an object with P, Q and N")
+    try:
+        p, q = int(spec_dict["P"]), int(spec_dict["Q"])
+        if "R" in spec_dict:
+            r = np.asarray(spec_dict["R"], dtype=np.float64)
+        else:
+            r = planted_correlation(p, q, float(spec_dict.get("correlation_strength", 0.9)))
+        spec = SynthSpec(
+            P=p, Q=q, N=int(spec_dict["N"]), R=r,
+            noise=float(spec_dict.get("noise", 0.08)),
+            image_size=tuple(int(n) for n in spec_dict.get("image_size", (3, 32, 32))),
+            seed=int(spec_dict.get("seed", 0)) if args.seed is None else args.seed,
+            multi_rate=float(spec_dict.get("multi_rate", 0.3)),
+            lesion_amplitude=float(spec_dict.get("lesion_amplitude", 0.10)),
+        )
+    except (TypeError, ValueError, OverflowError) as e:
+        raise BadSpec(f"{args.spec}: bad spec value: {e}") from None
     ds = synthesize(spec)
     manifest = save_manifest(ds, args.out_dir)
     print(manifest)
@@ -198,20 +203,11 @@ def cmd_eval(args):
     ds = load_manifest(args.manifest)
     _check_dims(net, ds)
     aug = _aug_from_blob(state.get("augment"))
-    les_sm, loc_sm = evaluate_scores(net, ds.samples, aug, use_ten_crop=args.ten_crop)
-    u = np.stack([s.u for s in ds.samples])
-    v = np.array([s.v for s in ds.samples])
-    m_class, per_class, excluded = metrics.map_class(les_sm, u)
-    m_image, _ = metrics.map_image(les_sm, u)
-    report = {
-        "map_class": m_class,
-        "map_image": m_image,
-        "per_class_ap": {name: ap for name, ap in zip(ds.lesion_names, per_class)},
-        "excluded_classes": [ds.lesion_names[i] for i in excluded],
-        "top1": metrics.top_k_accuracy(loc_sm, v, 1),
-        "top3": metrics.top_k_accuracy(loc_sm, v, min(3, ds.Q)),
-        "ten_crop": bool(args.ten_crop),
-    }
+    report, les_sm, loc_sm = fold_metrics(net, ds.samples, aug,
+                                          TrainConfig(use_ten_crop=args.ten_crop))
+    report["per_class_ap"] = dict(zip(ds.lesion_names, report["per_class_ap"]))
+    report["excluded_classes"] = [ds.lesion_names[i] for i in report["excluded_classes"]]
+    report["ten_crop"] = bool(args.ten_crop)
     if args.scores_out:
         metrics.write_scores(args.scores_out + "_lesion.csv", les_sm, ds.lesion_names)
         metrics.write_scores(args.scores_out + "_location.csv", loc_sm, ds.location_names)

@@ -140,8 +140,11 @@ def write_pgm(path, image: np.ndarray):
 
 def load_manifest(path) -> Dataset:
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(0, f"cannot read manifest {path}: {e}") from None
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         raise ParseError(1, "empty manifest (missing header)")
@@ -151,6 +154,9 @@ def load_manifest(path) -> Dataset:
         raise ParseError(1, f"bad header JSON: {e}") from None
     if not isinstance(header, dict) or "lesions" not in header or "locations" not in header:
         raise ParseError(1, "header must define 'lesions' and 'locations'")
+    for key in ("lesions", "locations"):
+        if not isinstance(header[key], list) or not all(isinstance(n, str) for n in header[key]):
+            raise ParseError(1, f"header {key!r} must be a list of names, got {header[key]!r}")
     lesion_names = list(dict.fromkeys(header["lesions"]))
     location_names = list(dict.fromkeys(header["locations"]))
     samples = []
@@ -159,9 +165,13 @@ def load_manifest(path) -> Dataset:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise ParseError(lineno, f"bad record JSON: {e}") from None
+        if not isinstance(rec, dict):
+            raise ParseError(lineno, f"record must be an object, got {rec!r}")
         for key in ("id", "image", "lesions", "location"):
             if key not in rec:
                 raise ParseError(lineno, f"record missing field {key!r}")
+        if not isinstance(rec["image"], str) or not isinstance(rec["lesions"], list):
+            raise ParseError(lineno, "record 'image' must be a path and 'lesions' a list")
         if not rec["lesions"]:
             raise ParseError(lineno, "record must carry at least one lesion label")
         u = np.zeros(len(lesion_names), dtype=np.int64)
@@ -204,6 +214,8 @@ def save_manifest(ds: Dataset, out_dir):
 
 def planted_correlation(P: int, Q: int, strength: float = 0.9) -> np.ndarray:
     """Row-stochastic P x Q matrix: lesion i prefers location i mod Q."""
+    if P < 1 or Q < 2:
+        raise BadSpec(f"invalid sizes P={P} Q={Q}")
     r = np.full((P, Q), (1.0 - strength) / (Q - 1))
     for i in range(P):
         r[i, i % Q] = strength
@@ -253,6 +265,8 @@ def synthesize(spec: SynthSpec) -> Dataset:
         raise BadSpec(f"R must be {spec.P}x{spec.Q}, got {r.shape}")
     if (r < 0).any() or np.abs(r.sum(axis=1) - 1.0).max() > 1e-9:
         raise BadSpec("R rows must be nonnegative and sum to 1 within 1e-9")
+    if len(spec.image_size) != 3 or min(spec.image_size) < 1:
+        raise BadSpec(f"image_size must be 3 positive sizes (C, H, W), got {spec.image_size}")
     if spec.noise < 0 or not (0 <= spec.multi_rate <= 1):
         raise BadSpec("noise must be >= 0 and multi_rate in [0, 1]")
     rng = np.random.default_rng(spec.seed)

@@ -6,17 +6,21 @@ can catch one base class and emit a single-line diagnostic.
 
 
 class MtlkitError(Exception):
-    """Base class for all mtlkit errors."""
+    """Base class for all mtlkit errors; each pickles with its attributes."""
 
 
 class ShapeMismatch(MtlkitError):
     def __init__(self, expected, got, context=""):
         self.expected = expected
         self.got = got
+        self.context = context
         msg = f"expected {expected}, got {got}"
         if context:
             msg = f"{context}: {msg}"
         super().__init__(msg)
+
+    def __reduce__(self):
+        return type(self), (self.expected, self.got, self.context)
 
 
 class NonScalarRoot(MtlkitError):
@@ -35,11 +39,18 @@ class MissingGradient(MtlkitError):
     """Optimizer step requested before gradients were populated."""
 
 
+class NonFiniteLoss(MtlkitError):
+    """A training step's loss is NaN or infinite."""
+
+
 class ParseError(MtlkitError):
     def __init__(self, line, reason):
         self.line = line
         self.reason = reason
         super().__init__(f"line {line}: {reason}")
+
+    def __reduce__(self):
+        return type(self), (self.line, self.reason)
 
 
 class MissingImage(MtlkitError):
@@ -79,7 +90,7 @@ class EmptyDataset(MtlkitError):
 
 
 class CheckpointError(MtlkitError):
-    """Checkpoint file is malformed or has an unsupported version."""
+    """Checkpoint file is unreadable, malformed or has an unsupported version."""
 
 
 class DimensionMismatch(MtlkitError):

@@ -131,10 +131,6 @@ class DualHeadNet:
             raise BadConfig(f"unknown head selector {heads!r}")
         return ps
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.tensor.zero_grad()
-
     def forward(self, batch):
         """Run the trunk and both heads.
 
@@ -206,8 +202,11 @@ def save_checkpoint(path, net: DualHeadNet, momentum_buffers=None, state=None):
 
 def load_checkpoint(path):
     """Rebuild the net from a checkpoint; returns (net, momentum_buffers, state)."""
-    with open(path, "rb") as f:
-        data = f.read()
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise CheckpointError(f"cannot read {path}: {e.strerror}") from None
     if data[:4] != _MAGIC:
         raise CheckpointError(f"bad magic in {path}")
     try:

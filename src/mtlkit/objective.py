@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import BadConfig, BadLabel
-from .tensor import Tensor, _accumulate, _result
+from .tensor import Tensor, _result
 
 
 @dataclass
@@ -49,18 +49,6 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
-def sigmoid_activations(lesion_logits) -> Tensor:
-    """Per-label sigmoid scores in (0, 1); not part of the loss graph."""
-    data = lesion_logits.data if isinstance(lesion_logits, Tensor) else lesion_logits
-    return Tensor(sigmoid(data))
-
-
-def softmax_activations(location_logits) -> Tensor:
-    """Row-stochastic location scores; shift-invariant by construction."""
-    data = location_logits.data if isinstance(location_logits, Tensor) else location_logits
-    return Tensor(softmax(data))
-
-
 def lesion_loss(lesion_logits: Tensor, u) -> Tensor:
     """Batch-mean multi-label cross-entropy against binary targets u (BxP)."""
     u = np.asarray(u, dtype=np.float64)
@@ -75,7 +63,7 @@ def lesion_loss(lesion_logits: Tensor, u) -> Tensor:
     value = per_elem.sum() / bsz
 
     def bwd(g):
-        _accumulate(lesion_logits, float(g) * (sigmoid(s) - u) / bsz)
+        return (float(g) * (sigmoid(s) - u) / bsz,)
 
     return _result(np.float64(value), (lesion_logits,), bwd)
 
@@ -97,7 +85,7 @@ def location_loss(location_logits: Tensor, v) -> Tensor:
     def bwd(g):
         grad = softmax(t)
         grad[np.arange(bsz), idx] -= 1.0
-        _accumulate(location_logits, float(g) * grad / bsz)
+        return (float(g) * grad / bsz,)
 
     return _result(np.float64(value), (location_logits,), bwd)
 

@@ -7,6 +7,12 @@ form an implicit DAG through parent links; ``backward`` walks it in
 reverse topological order and accumulates gradients additively, so using
 a tensor twice yields the sum of both path gradients.
 
+Gradient contract: ``_backward(g)`` returns one gradient per parent, in
+``_parents`` order (None where none is needed), and never writes into a
+gradient. ``backward`` sums what reaches a node out of place, frees it
+once the node's rule has run and writes ``.grad`` only on leaves (adding
+to one already there), so one graph may be walked from several roots.
+
 Conventions fixed for determinism:
   * everything is float64, row-major;
   * relu's subgradient at exactly 0 is 0;
@@ -33,7 +39,7 @@ from .errors import NonScalarRoot, ShapeMismatch
 
 
 class Tensor:
-    """A dense float64 array plus a lazily allocated gradient."""
+    """A dense float64 array plus, on a leaf, a gradient that may be shared."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -56,9 +62,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def zero_grad(self):
-        self.grad = None
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -75,21 +78,12 @@ def _result(data, parents, backward_fn) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
-    else:
-        t.grad += g
-
-
 def backward(root: Tensor) -> None:
-    """Populate grads of everything ``root`` depends on.
+    """Add d root / d leaf to the ``.grad`` of every leaf ``root`` depends on.
 
     ``root`` must be scalar-shaped. Nodes are visited in reverse
     topological order, so every gradient is complete before it is
-    consumed by the parents' backward rules.
+    consumed by the node's backward rule.
     """
     if root.size != 1:
         raise NonScalarRoot(f"backward root has {root.size} elements")
@@ -108,10 +102,18 @@ def backward(root: Tensor) -> None:
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    root.grad = np.ones_like(root.data)
+    grads = {id(root): np.ones_like(root.data)}
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward is None:
+            node.grad = g if node.grad is None else node.grad + g
+            continue
+        for p, pg in zip(node._parents, node._backward(g)):
+            if pg is not None and p.requires_grad:
+                key = id(p)
+                grads[key] = pg if key not in grads else grads[key] + pg
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +125,7 @@ def relu(x: Tensor) -> Tensor:
     out = np.where(mask, x.data, 0.0)
 
     def bwd(g):
-        _accumulate(x, g * mask)
+        return (g * mask,)
 
     return _result(out, (x,), bwd)
 
@@ -133,8 +135,7 @@ def add(x: Tensor, y: Tensor) -> Tensor:
         raise ShapeMismatch(x.shape, y.shape, "add")
 
     def bwd(g):
-        _accumulate(x, g)
-        _accumulate(y, g)
+        return g, g
 
     return _result(x.data + y.data, (x, y), bwd)
 
@@ -143,7 +144,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def bwd(g):
-        _accumulate(x, g * c)
+        return (g * c,)
 
     return _result(x.data * c, (x,), bwd)
 
@@ -155,21 +156,21 @@ def flatten(x: Tensor) -> Tensor:
     orig = x.shape
 
     def bwd(g):
-        _accumulate(x, g.reshape(orig))
+        return (g.reshape(orig),)
 
     return _result(x.data.reshape(b, -1), (x,), bwd)
 
 
 def tsum(x: Tensor) -> Tensor:
     def bwd(g):
-        _accumulate(x, np.full(x.shape, float(g)))
+        return (np.full(x.shape, float(g)),)
 
     return _result(np.float64(x.data.sum()), (x,), bwd)
 
 
 def sum_squares(x: Tensor) -> Tensor:
     def bwd(g):
-        _accumulate(x, 2.0 * float(g) * x.data)
+        return (2.0 * float(g) * x.data,)
 
     return _result(np.float64((x.data * x.data).sum()), (x,), bwd)
 
@@ -183,8 +184,7 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeMismatch(f"({x.shape[0]}, K) @ (K, n)", (x.shape, w.shape), "matmul")
 
     def bwd(g):
-        _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.T @ g)
+        return g @ w.data.T, x.data.T @ g
 
     return _result(x.data @ w.data, (x, w), bwd)
 
@@ -193,27 +193,16 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     """Add a 1-D bias over the feature axis (2-D x) or channel axis (4-D x)."""
     if b.ndim != 1:
         raise ShapeMismatch("1-D bias", b.shape, "bias_add")
-    if x.ndim == 2:
-        if x.shape[1] != b.shape[0]:
-            raise ShapeMismatch(x.shape[1], b.shape[0], "bias_add")
-        out = x.data + b.data
-
-        def bwd(g):
-            _accumulate(x, g)
-            _accumulate(b, g.sum(axis=0))
-
-    elif x.ndim == 4:
-        if x.shape[1] != b.shape[0]:
-            raise ShapeMismatch(x.shape[1], b.shape[0], "bias_add")
-        out = x.data + b.data[None, :, None, None]
-
-        def bwd(g):
-            _accumulate(x, g)
-            _accumulate(b, g.sum(axis=(0, 2, 3)))
-
-    else:
+    if x.ndim not in (2, 4):
         raise ShapeMismatch("2-D or 4-D input", x.shape, "bias_add")
-    return _result(out, (x, b), bwd)
+    if x.shape[1] != b.shape[0]:
+        raise ShapeMismatch(x.shape[1], b.shape[0], "bias_add")
+    axes = (0, 2, 3)[: x.ndim - 1]  # every axis but the bias axis
+
+    def bwd(g):
+        return g, g.sum(axis=axes)
+
+    return _result(x.data + b.data.reshape((-1, 1, 1)[: x.ndim - 1]), (x, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +247,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     def bwd(g):
         g3 = g.reshape(bsz, cout, ho * wo)
-        _accumulate(w, np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
-        if x.requires_grad or x._parents:
-            # the input gradient is a stride-1 correlation of g, dilated by
-            # stride and framed by kh-1 / kw-1 zeros, with the flipped kernel
-            # (channels swapped); offset by padding it covers only the
-            # unpadded input, so no scatter and no crop
-            gd = np.zeros((bsz, cout, hp + kh - 1, wp + kw - 1))
-            gd[:, :, kh - 1 : kh - 1 + stride * ho : stride,
-               kw - 1 : kw - 1 + stride * wo : stride] = g
-            wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-            gcols = _im2col(gd, kh, kw, 1, h, wd, off=padding)
-            _accumulate(x, np.matmul(wflip, gcols).reshape(bsz, cin, h, wd))
+        gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        if not x.requires_grad:
+            return None, gw
+        # the input gradient: see Layout in the module docstring
+        gd = np.zeros((bsz, cout, hp + kh - 1, wp + kw - 1))
+        gd[:, :, kh - 1 : kh - 1 + stride * ho : stride,
+           kw - 1 : kw - 1 + stride * wo : stride] = g
+        wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        gcols = _im2col(gd, kh, kw, 1, h, wd, off=padding)
+        return np.matmul(wflip, gcols).reshape(bsz, cin, h, wd), gw
 
     return _result(out, (x, w), bwd)
 
@@ -302,7 +289,7 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
         gx = np.empty((bsz, c, ho, k, wo, k))
         for n in range(k * k):
             gx[:, :, :, n // k, :, n % k] = np.where(idx == n, g, 0.0)
-        _accumulate(x, gx.reshape(bsz, c, h, wd))
+        return (gx.reshape(bsz, c, h, wd),)
 
     return _result(out, (x,), bwd)
 
@@ -315,6 +302,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
     area = h * wd
 
     def bwd(g):
-        _accumulate(x, np.broadcast_to(g[:, :, None, None] / area, x.shape).copy())
+        return (np.broadcast_to(g[:, :, None, None] / area, x.shape),)
 
     return _result(x.data.mean(axis=(2, 3)), (x,), bwd)

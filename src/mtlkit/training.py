@@ -12,7 +12,7 @@ import numpy as np
 
 from . import metrics, objective
 from .data import AugmentConfig, Dataset, assign_folds, augment, channel_means, eval_transform, ten_crop
-from .errors import BadConfig, EmptyDataset
+from .errors import BadConfig, EmptyDataset, NonFiniteLoss
 from .network import DualHeadNet, NetConfig
 from .optim import SGD, PlateauConfig
 from .tensor import Tensor, backward
@@ -47,18 +47,21 @@ def _check_config(cfg):
                         f"{cfg.weight_decay}, {cfg.lr} and {cfg.batch_size}")
 
 
-def _train_epoch(net, samples, rng, aug, opt, cfg):
+def _train_epoch(net, samples, rng, aug, opt, cfg, epoch):
     """One shuffled pass of SGD steps on cfg.mode's objective; returns the
-    sample-weighted epoch means of the LossBreakdown fields as train_*."""
+    sample-weighted epoch means of the LossBreakdown fields as train_*;
+    a non-finite loss raises NonFiniteLoss at ``epoch`` ("epoch 3")."""
     order = rng.permutation(len(samples))
     sums = {}
-    for start in range(0, len(samples), cfg.batch_size):
+    for step, start in enumerate(range(0, len(samples), cfg.batch_size)):
         idx = order[start : start + cfg.batch_size]
         imgs = np.stack([augment(samples[i], rng, aug) for i in idx])
         u = np.stack([samples[i].u for i in idx])
         v = np.array([samples[i].v for i in idx])
         les_logits, loc_logits, _, _ = net.forward(imgs)
         bd, node = objective.joint_loss(les_logits, loc_logits, u, v, cfg.mode, cfg.aux_weight)
+        if not np.isfinite(bd.total):
+            raise NonFiniteLoss(f"{cfg.mode} training loss is {bd.total} at {epoch}, step {step}")
         backward(node)
         opt.step()
         for k, val in asdict(bd).items():
@@ -136,11 +139,12 @@ def train(net: DualHeadNet, train_samples, val_samples, cfg: TrainConfig, on_epo
         warm_cfg = replace(cfg, mode="location_only")
         warm_opt = SGD(net.parameters("location"), lr=cfg.lr, momentum=cfg.momentum,
                        weight_decay=cfg.weight_decay, plateau=cfg.plateau)
-        for _ in range(cfg.pretrain_epochs):
-            _train_epoch(net, train_samples, rng, aug, warm_opt, warm_cfg)
+        for i in range(cfg.pretrain_epochs):
+            _train_epoch(net, train_samples, rng, aug, warm_opt, warm_cfg, f"pretrain epoch {i}")
 
     for epoch in range(cfg.epochs):
-        record = {"epoch": epoch, **_train_epoch(net, train_samples, rng, aug, opt, cfg)}
+        record = {"epoch": epoch,
+                  **_train_epoch(net, train_samples, rng, aug, opt, cfg, f"epoch {epoch}")}
         record["decay"] = 0.5 * cfg.weight_decay * sum(
             float((p.tensor.data ** 2).sum()) for p in opt.params)
         if val_samples:

@@ -29,7 +29,7 @@ def max_rel_err(auto, fd):
 def check_gradients(f, params, tol=1e-4, step=1e-5):
     """Run f forward+backward, compare every param grad to central differences."""
     for p in params:
-        p.zero_grad()
+        p.grad = None
     out = f()
     T.backward(out)
     fds = finite_difference(f, params, step)

@@ -193,6 +193,7 @@ def test_criterion_4_correlation_recovery(capsys):
 # 5. multi-task benefit (the expensive one)
 
 
+@pytest.mark.slow
 def test_criterion_5_mtl_benefit(capsys):
     start = time.time()
     planted = planted_correlation(6, 5, 0.9)

@@ -335,3 +335,79 @@ def test_unknown_top_level_config_key_is_bad_config(workspace, tmp_path, capsys,
     line = _run_bad_config(workspace, tmp_path, capsys,
                            lambda raw: raw.update(learning_rate=0.1), command)
     assert "learning_rate" in line
+
+
+def _argv(command, workspace, tmp_path, manifest=None, ckpt=None):
+    """argv running command on manifest and ckpt (default: the workspace's)."""
+    manifest = manifest or workspace["manifest"]
+    ckpt = ckpt or workspace["ckpt"]
+    if command in ("train", "cv"):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(TINY_TRAIN, manifest=manifest)))
+        out = ["--out-dir", str(tmp_path / "run")] if command == "train" else []
+        return [command, str(cfg_path), *out]
+    if command == "ensemble":
+        prefix = str(tmp_path / "s")
+        assert main(["eval", workspace["ckpt"], workspace["manifest"],
+                     "--scores-out", prefix, "--report-out", str(tmp_path / "r.json")]) == 0
+        return ["ensemble", prefix + "_lesion.csv", prefix + "_lesion.csv", "--labels", manifest]
+    if command == "correlate":
+        return ["correlate", manifest]
+    if command == "retrieve-queries":
+        return ["retrieve", ckpt, workspace["manifest"], "--queries", manifest]
+    sid = load_manifest(workspace["manifest"]).samples[0].id
+    extra = {"eval": [], "retrieve": [], "attention": ["--id", sid, "--out-dir", str(tmp_path)]}
+    return [command, ckpt, manifest, *extra[command]]
+
+
+MANIFEST_COMMANDS = ["train", "cv", "eval", "ensemble", "correlate", "retrieve",
+                     "retrieve-queries", "attention"]
+
+
+@pytest.mark.parametrize("command", MANIFEST_COMMANDS)
+@pytest.mark.parametrize("content", [
+    None, '{"lesions": 5, "locations": ["a"]}\n',
+    '{"lesions": ["lesion0"], "locations": ["location0"]}\n5\n', "\xff\xfe\n",
+], ids=["missing", "header-not-list", "record-not-object", "not-utf8"])
+def test_bad_manifest_fails_in_one_line(workspace, tmp_path, capsys, command, content):
+    manifest = tmp_path / "bad.jsonl"
+    if content is not None:
+        manifest.write_bytes(content.encode("latin-1"))
+    argv = _argv(command, workspace, tmp_path, manifest=str(manifest))
+    capsys.readouterr()
+    assert main(argv) == 1
+    line = _single_error(capsys, "ParseError")
+    if content is None:
+        assert str(manifest) in line
+
+
+@pytest.mark.parametrize("command", ["eval", "retrieve", "attention"])
+def test_missing_checkpoint_fails_in_one_line(workspace, tmp_path, capsys, command):
+    ckpt = str(tmp_path / "none.ckpt")
+    capsys.readouterr()
+    assert main(_argv(command, workspace, tmp_path, ckpt=ckpt)) == 1
+    assert ckpt in _single_error(capsys, "CheckpointError")
+
+
+@pytest.mark.parametrize("spec", [
+    {"Q": 3, "N": 4}, [1, 2], dict(SPEC, image_size=5), dict(SPEC, image_size=[3, 0, 4]),
+    dict(SPEC, Q=1), dict(SPEC, N="many"),
+], ids=["no-P", "list", "image-size-int", "image-size-zero", "one-location", "N-string"])
+def test_bad_synth_spec_fails_in_one_line(tmp_path, capsys, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["synth", str(spec_path), str(tmp_path / "out")]) == 1
+    _single_error(capsys, "BadSpec")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_non_finite_loss_fails_in_one_line(workspace, tmp_path, capsys, command):
+    argv = _argv(command, workspace, tmp_path)
+    (tmp_path / "cfg.json").write_text(
+        json.dumps(dict(TINY_TRAIN, manifest=workspace["manifest"], lr=1e308)))
+    capsys.readouterr()
+    assert main(argv) == 1
+    line = _single_error(capsys, "NonFiniteLoss")
+    assert line.endswith("mtl training loss is nan at epoch 0, step 1")

@@ -97,6 +97,53 @@ def test_gradient_flow_from_both_heads(rng):
     assert not np.allclose(g_joint, g_loc)
 
 
+def _graph(root):
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def test_backward_leaves_gradients_only_on_leaves(rng):
+    net = small_net(seed=4)
+    les, loc, _, _ = net.forward(rng.normal(size=(2, 3, 8, 8)))
+    _, node = joint_loss(les, loc, np.array([[1, 0, 0], [0, 1, 1]]), np.array([1, 3]))
+    T.backward(node)
+    nodes = _graph(node)
+    assert [n for n in nodes if n._parents and n.grad is not None] == []
+    ids = {id(n) for n in nodes}
+    for p in net.parameters():
+        assert id(p.tensor) in ids and p.tensor.grad is not None, p.name
+
+
+def test_per_task_gradients_from_one_forward(rng):
+    # one forward and two backward calls give each task's trunk gradient,
+    # exactly as two separate forwards do
+    from mtlkit.objective import lesion_loss, location_loss
+
+    batch = rng.normal(size=(2, 3, 8, 8))
+    u = np.array([[1, 0, 0], [0, 1, 1]])
+    v = np.array([1, 3])
+    net = small_net(seed=3)
+    les, loc, _, _ = net.forward(batch)
+    T.backward(lesion_loss(les, u))
+    g_les = net.conv1_w.grad
+    net.conv1_w.grad = None
+    T.backward(location_loss(loc, v))
+    g_loc = net.conv1_w.grad
+
+    def separate(loss_fn):
+        fresh = small_net(seed=3)
+        T.backward(loss_fn(*fresh.forward(batch)[:2]))
+        return fresh.conv1_w.grad
+
+    assert np.array_equal(g_les, separate(lambda les, loc: lesion_loss(les, u)))
+    assert np.array_equal(g_loc, separate(lambda les, loc: location_loss(loc, v)))
+
+
 def test_forward_rejects_bad_channels(rng):
     with pytest.raises(ShapeMismatch):
         small_net().forward(rng.normal(size=(1, 2, 8, 8)))

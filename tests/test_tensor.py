@@ -97,6 +97,24 @@ class TestBackward:
         T.backward(T.tsum(T.add(x, x)))
         assert np.allclose(x.grad, 2.0 * np.ones(3))
 
+    def test_two_roots_over_one_graph(self):
+        # each walk yields its own root's gradient: nothing from the first
+        # walk is left on the shared node h
+        x = t([1.0, 2.0])
+        h = T.relu(x)
+        T.backward(T.tsum(h))
+        assert np.array_equal(x.grad, [1.0, 1.0])
+        x.grad = None
+        T.backward(T.tsum(T.scale(h, 3)))
+        assert np.array_equal(x.grad, [3.0, 3.0])
+        assert h.grad is None
+
+    def test_leaf_gradient_adds_across_walks(self):
+        x = t([1.0, 2.0])
+        T.backward(T.tsum(x))
+        T.backward(T.tsum(T.scale(x, 2)))
+        assert np.array_equal(x.grad, [3.0, 3.0])
+
     def test_determinism(self, rng):
         xdata = rng.normal(size=(2, 3, 4, 4))
         wdata = rng.normal(size=(2, 3, 3, 3))
@@ -206,8 +224,10 @@ def maxpool_loop(x, g, k):
 
 
 def vjp(out, g):
-    """Run out's backward rule on upstream gradient g (not just ones)."""
-    out._backward(g)
+    """Run out's backward rule on upstream gradient g (not just ones) and set
+    each parent's .grad to the gradient the rule returns for it."""
+    for p, pg in zip(out._parents, out._backward(g)):
+        p.grad = pg
 
 
 class TestKernelReference:

@@ -13,7 +13,7 @@ from mtlkit.data import (
     planted_correlation,
     synthesize,
 )
-from mtlkit.errors import BadConfig, EmptyDataset
+from mtlkit.errors import BadConfig, EmptyDataset, NonFiniteLoss
 from mtlkit.network import DualHeadNet, NetConfig, load_checkpoint, save_checkpoint
 from mtlkit.training import (
     TrainConfig,
@@ -222,6 +222,13 @@ class TestConfigAndEmptyInputs:
             train(net, [], ds.samples, tiny_config())
         with pytest.raises(EmptyDataset):
             evaluate_scores(net, [], TINY_AUG)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_non_finite_pretraining_loss_names_the_pass(self):
+        ds = tiny_dataset(20)
+        net = DualHeadNet(NetConfig(width=4, blocks=1), ds.P, ds.Q, seed=0)
+        with pytest.raises(NonFiniteLoss, match="^location_only .* at pretrain epoch 0, step 1$"):
+            train(net, ds.samples, None, tiny_config(lr=1e308, pretrain_epochs=1))
 
 
 class TestSmoke:
