@@ -26,7 +26,14 @@ from .data import (
     save_manifest,
     synthesize,
 )
-from .errors import BadConfig, BadSpec, DimensionMismatch, MtlkitError
+from .errors import (
+    BadConfig,
+    BadSpec,
+    CheckpointError,
+    DimensionMismatch,
+    MatrixMismatch,
+    MtlkitError,
+)
 from .network import DualHeadNet, NetConfig, load_checkpoint, save_checkpoint
 from .optim import PlateauConfig
 from .training import TrainConfig, cross_validate, fold_metrics, train
@@ -102,25 +109,20 @@ def _run_config(args):
     return raw, replace(cfg, **overrides)
 
 
-def _aug_to_blob(aug: AugmentConfig) -> dict:
-    d = asdict(aug)
-    if d["channel_means"] is not None:
-        d["channel_means"] = [float(x) for x in np.asarray(d["channel_means"])]
-    return d
-
-
-def _aug_from_blob(d) -> AugmentConfig:
-    d = dict(d or {})
-    if d.get("channel_means") is not None:
-        d["channel_means"] = np.asarray(d["channel_means"], dtype=np.float64)
-    return AugmentConfig(**d)
-
-
-def _check_dims(net: DualHeadNet, ds):
+def _load_model(checkpoint, manifest):
+    """The net and fitted AugmentConfig of a checkpoint, and a manifest's
+    dataset of matching dimensions."""
+    net, _, state = load_checkpoint(checkpoint)
+    try:
+        aug = AugmentConfig(**state.get("augment", {}))
+    except TypeError as e:
+        raise CheckpointError(f"{checkpoint}: bad augment state: {e}") from None
+    ds = load_manifest(manifest)
     if net.P != ds.P or net.Q != ds.Q:
         raise DimensionMismatch(
             f"checkpoint has P={net.P}, Q={net.Q}; dataset has P={ds.P}, Q={ds.Q}"
         )
+    return net, aug, ds
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +182,11 @@ def cmd_train(args):
             best["val_loss"] = vl
             save_checkpoint(best_path, net, opt.buffers,
                             {"optimizer": opt.state(), "epoch": record["epoch"],
-                             "mode": cfg.mode, "augment": _aug_to_blob(aug)})
+                             "mode": cfg.mode, "augment": asdict(aug)})
 
     log, opt, aug = train(net, train_samples, val_samples, cfg, on_epoch=on_epoch)
     state = {"optimizer": opt.state(), "epoch": cfg.epochs - 1, "mode": cfg.mode,
-             "augment": _aug_to_blob(aug)}
+             "augment": asdict(aug)}
     save_checkpoint(os.path.join(out_dir, "final.ckpt"), net, opt.buffers, state)
     if best["val_loss"] is None:
         save_checkpoint(best_path, net, opt.buffers, state)
@@ -199,10 +201,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    net, _, state = load_checkpoint(args.checkpoint)
-    ds = load_manifest(args.manifest)
-    _check_dims(net, ds)
-    aug = _aug_from_blob(state.get("augment"))
+    net, aug, ds = _load_model(args.checkpoint, args.manifest)
     report, les_sm, loc_sm = fold_metrics(net, ds.samples, aug,
                                           TrainConfig(use_ten_crop=args.ten_crop))
     report["per_class_ap"] = dict(zip(ds.lesion_names, report["per_class_ap"]))
@@ -221,6 +220,10 @@ def cmd_ensemble(args):
     combined = (metrics.ensemble_mean if args.method == "mean" else metrics.ensemble_max)(a, b)
     ds = load_manifest(args.labels)
     by_id = {s.id: s for s in ds.samples}
+    unlabelled = [i for i in combined.ids if i not in by_id]
+    if unlabelled:
+        raise MatrixMismatch(f"{len(unlabelled)} score id(s) absent from {args.labels}, "
+                             f"first {unlabelled[0]!r}")
     report = {"method": args.method, "kind": args.kind}
     if args.kind == "lesion":
         u = np.stack([by_id[i].u for i in combined.ids])
@@ -261,11 +264,8 @@ def cmd_correlate(args):
 
 
 def cmd_retrieve(args):
-    net, _, state = load_checkpoint(args.checkpoint)
-    index_ds = load_manifest(args.manifest)
-    _check_dims(net, index_ds)
+    net, aug, index_ds = _load_model(args.checkpoint, args.manifest)
     queries = load_manifest(args.queries) if args.queries else index_ds
-    aug = _aug_from_blob(state.get("augment"))
     index = analysis.build_index(net, index_ds, aug)
     report = analysis.retrieval_report(net, index, index_ds, queries, args.k, aug)
     _emit_report(report, args.report_out)
@@ -273,10 +273,7 @@ def cmd_retrieve(args):
 
 
 def cmd_attention(args):
-    net, _, state = load_checkpoint(args.checkpoint)
-    ds = load_manifest(args.manifest)
-    _check_dims(net, ds)
-    aug = _aug_from_blob(state.get("augment"))
+    net, aug, ds = _load_model(args.checkpoint, args.manifest)
     by_id = {s.id: s for s in ds.samples}
     if args.id not in by_id:
         raise BadSpec(f"sample id {args.id!r} not found in manifest")
@@ -382,7 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a diverging run overflows long before its loss is checked; the
+        # NonFiniteLoss (training) and NaN-score (ScoreMatrix) checks report
+        # it as one error line, so numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except MtlkitError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

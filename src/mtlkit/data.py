@@ -81,7 +81,7 @@ class AugmentConfig:
     crop: int = 28
     flip_prob: float = 0.5
     eval_scale: int = 36
-    channel_means: np.ndarray | None = None
+    channel_means: tuple | None = None   # per-channel floats; train fits them
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +100,11 @@ def write_ppm(path, image: np.ndarray):
 
 
 def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise ParseError(0, f"cannot read image {path}: {e.strerror}") from None
     fields = []
     pos = 0
     while len(fields) < 4:
@@ -183,7 +186,7 @@ def load_manifest(path) -> Dataset:
             raise UnknownLabel(f"line {lineno}: unknown location {rec['location']!r}")
         v = location_names.index(rec["location"]) + 1
         img_path = os.path.join(base, rec["image"])
-        if not os.path.exists(img_path):
+        if not os.path.isfile(img_path):
             raise MissingImage(img_path)
         samples.append(Sample(read_ppm(img_path), u, v, str(rec["id"])))
     return Dataset(samples, lesion_names, location_names)

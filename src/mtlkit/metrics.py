@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadK, MatrixMismatch, NoPositives
+from .errors import BadK, MatrixMismatch, NoPositives, ParseError
 
 
 @dataclass
@@ -154,13 +154,27 @@ def write_scores(path, s: ScoreMatrix, class_names):
 
 
 def read_scores(path, kind: str) -> tuple:
-    """Returns (ScoreMatrix, class_names)."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        names = header[1:]
-        ids, rows = [], []
-        for rec in reader:
-            ids.append(rec[0])
-            rows.append([float(x) for x in rec[1:]])
-    return ScoreMatrix(np.array(rows, dtype=np.float64), ids, kind), names
+    """Returns (ScoreMatrix, class_names). A missing or unreadable file, one
+    without a header or score rows, a row whose length differs from the
+    header and a non-numeric score raise ParseError naming the line."""
+    try:
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(1, f"{path}: empty score file (missing header)")
+            ids, rows = [], []
+            for rec in reader:
+                if len(rec) != len(header):
+                    raise ParseError(reader.line_num,
+                                     f"{path}: {len(rec)} fields, header has {len(header)}")
+                try:
+                    rows.append([float(x) for x in rec[1:]])
+                except ValueError as e:
+                    raise ParseError(reader.line_num, f"{path}: {e}") from None
+                ids.append(rec[0])
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise ParseError(0, f"cannot read scores {path}: {e}") from None
+    if not rows:
+        raise ParseError(2, f"{path}: no score rows")
+    return ScoreMatrix(np.array(rows, dtype=np.float64), ids, kind), header[1:]

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,19 +37,6 @@ class NetConfig:
     blocks: int = 2         # residual blocks after the stem
     head_w_mult: float = 10.0
     head_b_mult: float = 20.0
-
-    def to_dict(self):
-        return {
-            "in_channels": self.in_channels,
-            "width": self.width,
-            "blocks": self.blocks,
-            "head_w_mult": self.head_w_mult,
-            "head_b_mult": self.head_b_mult,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return NetConfig(**d)
 
 
 @dataclass
@@ -72,7 +60,7 @@ class DualHeadNet:
         if Q < 2:
             raise BadConfig(f"Q must be >= 2 (softmax over one class is degenerate), got {Q}")
         if config.in_channels < 1 or config.width < 1 or config.blocks < 0:
-            raise BadConfig(f"inconsistent net config: {config.to_dict()}")
+            raise BadConfig(f"inconsistent net config: {asdict(config)}")
         self.config = config
         self.P = P
         self.Q = Q
@@ -140,11 +128,11 @@ class DualHeadNet:
         x = batch if isinstance(batch, T.Tensor) else T.Tensor(batch)
         if x.ndim != 4 or x.shape[1] != self.config.in_channels:
             raise ShapeMismatch(f"(B, {self.config.in_channels}, H, W)", x.shape, "forward")
-        h = T.relu(T.bias_add(T.conv2d(x, self.conv1_w, padding=1), self.conv1_b))
+        h = T.relu(T.conv2d(x, self.conv1_w, self.conv1_b, padding=1))
         h = T.maxpool2d(h, 2)
         for w1, b1, w2, b2 in self.blocks:
-            y = T.relu(T.bias_add(T.conv2d(h, w1, padding=1), b1))
-            y = T.bias_add(T.conv2d(y, w2, padding=1), b2)
+            y = T.relu(T.conv2d(h, w1, b1, padding=1))
+            y = T.conv2d(y, w2, b2, padding=1)
             h = T.relu(T.add(y, h))
         conv_maps = h
         features = T.global_avg_pool(conv_maps)
@@ -189,15 +177,19 @@ def save_checkpoint(path, net: DualHeadNet, momentum_buffers=None, state=None):
     for b in bufs:
         _write_array(buf, b)
     blob = dict(state or {})
-    blob["config"] = net.config.to_dict()
+    blob["config"] = asdict(net.config)
     blob["P"] = net.P
     blob["Q"] = net.Q
     blob["seed"] = net.seed
     raw = json.dumps(blob, sort_keys=True).encode()
     buf += struct.pack("<I", len(raw))
     buf += raw
-    with open(path, "wb") as f:
+    # write a sibling and rename it over path, so a crash mid-write never
+    # leaves a truncated checkpoint where a good one was
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
         f.write(bytes(buf))
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path):
@@ -230,12 +222,16 @@ def load_checkpoint(path):
         state = json.loads(data[off : off + blob_len].decode())
     except (struct.error, ValueError) as e:
         raise CheckpointError(f"{path} is truncated or corrupt: {e}") from None
-    net = DualHeadNet(
-        NetConfig.from_dict(state.pop("config")),
-        state.pop("P"),
-        state.pop("Q"),
-        state.pop("seed"),
-    )
+    if not isinstance(state, dict):
+        raise CheckpointError(f"{path}: state blob must be an object, got {type(state).__name__}")
+    missing = [k for k in ("config", "P", "Q", "seed") if k not in state]
+    if missing:
+        raise CheckpointError(f"{path}: state blob lacks {', '.join(missing)}")
+    try:
+        net = DualHeadNet(NetConfig(**state.pop("config")), state.pop("P"), state.pop("Q"),
+                          state.pop("seed"))
+    except TypeError as e:
+        raise CheckpointError(f"{path}: bad net config or dimensions: {e}") from None
     params = net.parameters()
     if len(params) != len(arrays):
         raise CheckpointError(f"parameter count mismatch: {len(arrays)} vs {len(params)}")

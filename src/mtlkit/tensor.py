@@ -1,8 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Just enough machinery for a small convolutional dual-head network: the op
-set is matmul, conv2d, maxpool2d, global_avg_pool, relu, add, scale,
-bias_add, flatten, plus scalar reductions (tsum, sum_squares). Tensors
+set is matmul, conv2d (which adds its per-channel bias), maxpool2d,
+global_avg_pool, relu, add, scale, bias_add (2-D), flatten, plus scalar
+reductions (tsum, sum_squares). Tensors
 form an implicit DAG through parent links; ``backward`` walks it in
 reverse topological order and accumulates gradients additively, so using
 a tensor twice yields the sum of both path gradients.
@@ -19,16 +20,18 @@ Conventions fixed for determinism:
   * maxpool ties go to the first element of the window in row-major
     order (window element n = i*k + j, the lowest n wins), and the
     whole output gradient of the window lands on that element;
-  * broadcasting is limited to bias_add over the channel/feature axis.
+  * broadcasting is limited to bias_add over the feature axis of a 2-D
+    input and conv2d's bias over the output channels.
 
 Layout: conv2d keeps its im2col matrix as (B, C*kh*kw, Ho*Wo), pixels
-contiguous, so the forward pass is one batched matmul whose result is
-already NCHW, and neither pass copies a transpose. The input gradient has
-no col2im scatter: it is the im2col (stride 1) of the output gradient,
-dilated by the stride and framed by kh-1 / kw-1 zeros, times the flipped
-kernel with its channel axes swapped, read at the padding offset so the
-result is already the unpadded (B, C, H, W) gradient. maxpool2d stacks the
-k*k strided views of each window into a leading axis.
+contiguous, so the forward pass is one batched matmul, with the bias added
+in place, whose result is already NCHW, and neither pass copies a
+transpose. The input gradient has no col2im scatter: it is the im2col
+(stride 1) of the output gradient, dilated by the stride and framed by
+kh-1 / kw-1 zeros, times the flipped kernel with its channel axes swapped,
+read at the padding offset so the result is already the unpadded
+(B, C, H, W) gradient. maxpool2d stacks the k*k strided views of each
+window into a leading axis.
 """
 
 from __future__ import annotations
@@ -190,19 +193,14 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Add a 1-D bias over the feature axis (2-D x) or channel axis (4-D x)."""
-    if b.ndim != 1:
-        raise ShapeMismatch("1-D bias", b.shape, "bias_add")
-    if x.ndim not in (2, 4):
-        raise ShapeMismatch("2-D or 4-D input", x.shape, "bias_add")
-    if x.shape[1] != b.shape[0]:
-        raise ShapeMismatch(x.shape[1], b.shape[0], "bias_add")
-    axes = (0, 2, 3)[: x.ndim - 1]  # every axis but the bias axis
+    """Add a 1-D bias over the feature axis of a 2-D (B, n) input."""
+    if x.ndim != 2 or b.shape != x.shape[1:]:
+        raise ShapeMismatch("(B, n) input and (n,) bias", (x.shape, b.shape), "bias_add")
 
     def bwd(g):
-        return g, g.sum(axis=axes)
+        return g, g.sum(axis=0)
 
-    return _result(x.data + b.data.reshape((-1, 1, 1)[: x.ndim - 1]), (x, b), bwd)
+    return _result(x.data + b.data, (x, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +220,17 @@ def _im2col(xp, kh, kw, stride, ho, wo, off=0):
     return cols.reshape(bsz, c * kh * kw, ho * wo)
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of a B,C,H,W batch with O,C,kh,kw filters."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation of a B,C,H,W batch with O,C,kh,kw filters,
+    plus a per-output-channel bias of shape (O,)."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeMismatch("4-D input and weight", (x.shape, w.shape), "conv2d")
     bsz, cin, h, wd = x.shape
     cout, cw, kh, kw = w.shape
     if cw != cin:
         raise ShapeMismatch(cin, cw, "conv2d channels")
+    if b.shape != (cout,):
+        raise ShapeMismatch((cout,), b.shape, "conv2d bias")
     hp, wp = h + 2 * padding, wd + 2 * padding
     if hp < kh or wp < kw:
         raise ShapeMismatch(f"image >= kernel {kh}x{kw}", (hp, wp), "conv2d")
@@ -243,22 +244,24 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     cols = _im2col(xp, kh, kw, stride, ho, wo)  # cached for the weight gradient
     wmat = w.data.reshape(cout, -1)
-    out = np.matmul(wmat, cols).reshape(bsz, cout, ho, wo)
+    out = np.matmul(wmat, cols)
+    out += b.data[:, None]
 
     def bwd(g):
         g3 = g.reshape(bsz, cout, ho * wo)
         gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        gb = g.sum(axis=(0, 2, 3))
         if not x.requires_grad:
-            return None, gw
+            return None, gw, gb
         # the input gradient: see Layout in the module docstring
         gd = np.zeros((bsz, cout, hp + kh - 1, wp + kw - 1))
         gd[:, :, kh - 1 : kh - 1 + stride * ho : stride,
            kw - 1 : kw - 1 + stride * wo : stride] = g
         wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
         gcols = _im2col(gd, kh, kw, 1, h, wd, off=padding)
-        return np.matmul(wflip, gcols).reshape(bsz, cin, h, wd), gw
+        return np.matmul(wflip, gcols).reshape(bsz, cin, h, wd), gw, gb
 
-    return _result(out, (x, w), bwd)
+    return _result(out.reshape(bsz, cout, ho, wo), (x, w, b), bwd)
 
 
 def maxpool2d(x: Tensor, k: int) -> Tensor:

@@ -125,7 +125,8 @@ def train(net: DualHeadNet, train_samples, val_samples, cfg: TrainConfig, on_epo
     if not train_samples:
         raise EmptyDataset("no training samples")
     rng = np.random.default_rng(cfg.seed)
-    aug = replace(cfg.augment, channel_means=channel_means(train_samples))
+    aug = replace(cfg.augment,
+                  channel_means=tuple(float(m) for m in channel_means(train_samples)))
     opt = SGD(net.parameters(MODES[cfg.mode]), lr=cfg.lr, momentum=cfg.momentum,
               weight_decay=cfg.weight_decay, plateau=cfg.plateau)
     log = []

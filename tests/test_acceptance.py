@@ -68,8 +68,7 @@ def test_criterion_1_gradient_correctness(capsys):
     img = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
     kern = Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.5, requires_grad=True)
     cb = Tensor(rng.normal(size=4), requires_grad=True)
-    check(lambda: T.sum_squares(T.bias_add(T.conv2d(img, kern, padding=1), cb)),
-          [img, kern, cb])
+    check(lambda: T.sum_squares(T.conv2d(img, kern, cb, padding=1)), [img, kern, cb])
     # distinct values per window keep the max selection stable under the step
     pool_in = Tensor(rng.permutation(2 * 2 * 6 * 6).reshape(2, 2, 6, 6) * 0.13,
                      requires_grad=True)

@@ -6,6 +6,7 @@ module stays under a few seconds.
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -364,19 +365,25 @@ MANIFEST_COMMANDS = ["train", "cv", "eval", "ensemble", "correlate", "retrieve",
                      "retrieve-queries", "attention"]
 
 
+_HEADER = '{"lesions": ["lesion0"], "locations": ["location0"]}\n'
+
+
 @pytest.mark.parametrize("command", MANIFEST_COMMANDS)
-@pytest.mark.parametrize("content", [
-    None, '{"lesions": 5, "locations": ["a"]}\n',
-    '{"lesions": ["lesion0"], "locations": ["location0"]}\n5\n', "\xff\xfe\n",
-], ids=["missing", "header-not-list", "record-not-object", "not-utf8"])
-def test_bad_manifest_fails_in_one_line(workspace, tmp_path, capsys, command, content):
+@pytest.mark.parametrize("content, error", [
+    (None, "ParseError"), ('{"lesions": 5, "locations": ["a"]}\n', "ParseError"),
+    (_HEADER + "5\n", "ParseError"), ("\xff\xfe\n", "ParseError"),
+    # an empty path names the manifest's own directory
+    (_HEADER + '{"id": "a", "image": "", "lesions": ["lesion0"], "location": "location0"}\n',
+     "MissingImage"),
+], ids=["missing", "header-not-list", "record-not-object", "not-utf8", "image-empty"])
+def test_bad_manifest_fails_in_one_line(workspace, tmp_path, capsys, command, content, error):
     manifest = tmp_path / "bad.jsonl"
     if content is not None:
         manifest.write_bytes(content.encode("latin-1"))
     argv = _argv(command, workspace, tmp_path, manifest=str(manifest))
     capsys.readouterr()
     assert main(argv) == 1
-    line = _single_error(capsys, "ParseError")
+    line = _single_error(capsys, error)
     if content is None:
         assert str(manifest) in line
 
@@ -401,7 +408,8 @@ def test_bad_synth_spec_fails_in_one_line(tmp_path, capsys, spec):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+# numpy's overflow warnings would repeat the error line; as errors they fail the test
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["train", "cv"])
 def test_non_finite_loss_fails_in_one_line(workspace, tmp_path, capsys, command):
     argv = _argv(command, workspace, tmp_path)
@@ -411,3 +419,66 @@ def test_non_finite_loss_fails_in_one_line(workspace, tmp_path, capsys, command)
     assert main(argv) == 1
     line = _single_error(capsys, "NonFiniteLoss")
     assert line.endswith("mtl training loss is nan at epoch 0, step 1")
+
+
+def _score_csv(workspace, tmp_path):
+    """Path of the workspace model's lesion score CSV."""
+    prefix = str(tmp_path / "s")
+    assert main(["eval", workspace["ckpt"], workspace["manifest"], "--scores-out", prefix,
+                 "--report-out", str(tmp_path / "r.json")]) == 0
+    return prefix + "_lesion.csv"
+
+
+@pytest.mark.parametrize("edit, line_no", [
+    (None, 0), (lambda lines: [], 1), (lambda lines: lines[:1], 2),
+    (lambda lines: lines[:2] + [lines[2].replace(",", ",abc,", 1).rsplit(",", 1)[0]], 3),
+    (lambda lines: lines[:2] + [lines[2] + ",0.5"], 3),
+    (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]], 3),
+], ids=["missing", "empty", "header-only", "non-numeric", "long-row", "short-row"])
+def test_bad_score_csv_fails_in_one_line(workspace, tmp_path, capsys, edit, line_no):
+    good = _score_csv(workspace, tmp_path)
+    bad = tmp_path / "bad.csv"
+    if edit is not None:
+        lines = open(good).read().splitlines()
+        bad.write_text("".join(ln + "\n" for ln in edit(lines)))
+    capsys.readouterr()
+    for pair in ([str(bad), good], [good, str(bad)]):
+        assert main(["ensemble", *pair, "--labels", workspace["manifest"]]) == 1
+        line = _single_error(capsys, "ParseError")
+        assert line.startswith(f"error: ParseError: line {line_no}: ") and str(bad) in line
+
+
+def test_unlabelled_score_id_is_matrix_mismatch(workspace, tmp_path, capsys):
+    good = _score_csv(workspace, tmp_path)
+    lines = open(good).read().splitlines()
+    lines[1] = "stranger," + lines[1].split(",", 1)[1]
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text("".join(ln + "\n" for ln in lines))
+    capsys.readouterr()
+    assert main(["ensemble", str(renamed), str(renamed), "--labels", workspace["manifest"]]) == 1
+    assert "'stranger'" in _single_error(capsys, "MatrixMismatch")
+
+
+def _drop(key):
+    return lambda state: {k: v for k, v in state.items() if k != key}
+
+
+def _nest(section, **extra):
+    return lambda state: dict(state, **{section: dict(state[section], **extra)})
+
+
+@pytest.mark.parametrize("edit", [
+    lambda state: [1, 2], _drop("config"), _drop("P"), _drop("Q"), _drop("seed"),
+    _nest("config", widht=3), _nest("augment", crop_size=8),
+], ids=["not-object", "no-config", "no-P", "no-Q", "no-seed", "config-unknown-key",
+        "augment-unknown-key"])
+def test_bad_checkpoint_state_fails_in_one_line(workspace, tmp_path, capsys, edit):
+    data = open(workspace["ckpt"], "rb").read()
+    start = data.rindex(b'{"P": ')  # the JSON state blob ends the file
+    assert struct.unpack("<I", data[start - 4 : start])[0] == len(data) - start
+    raw = json.dumps(edit(json.loads(data[start:]))).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(data[: start - 4] + struct.pack("<I", len(raw)) + raw)
+    capsys.readouterr()
+    assert main(["eval", str(bad), workspace["manifest"]]) == 1
+    assert str(bad) in _single_error(capsys, "CheckpointError")

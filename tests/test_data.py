@@ -46,6 +46,11 @@ class TestPpm:
         assert loaded.shape == (3, 5, 7)
         assert np.abs(loaded - img).max() <= 0.5 / 255 + 1e-12
 
+    @pytest.mark.parametrize("name", ["absent.ppm", "."], ids=["missing", "directory"])
+    def test_unreadable_path_is_parse_error(self, tmp_path, name):
+        with pytest.raises(ParseError, match="cannot read image"):
+            read_ppm(tmp_path / name)
+
 
 class TestManifest:
     def test_empty_manifest(self, tmp_path):
@@ -70,6 +75,13 @@ class TestManifest:
             + json.dumps({"id": "s", "image": "absent.ppm", "lesions": ["a"], "location": "x"})
             + "\n"
         )
+        with pytest.raises(MissingImage):
+            load_manifest(path)
+
+    def test_image_that_is_a_directory(self, tmp_path):
+        # "" joins to the manifest's own directory
+        path = make_manifest(tmp_path, [{"id": "s0", "lesions": ["a"], "location": "x"}])
+        path.write_text(path.read_text().replace('"image": "s0.ppm"', '"image": ""'))
         with pytest.raises(MissingImage):
             load_manifest(path)
 

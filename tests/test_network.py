@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from mtlkit import network
 from mtlkit import tensor as T
 from mtlkit.errors import BadConfig, CheckpointError, ShapeMismatch
 from mtlkit.network import DualHeadNet, NetConfig, load_checkpoint, save_checkpoint
@@ -144,6 +147,16 @@ def test_per_task_gradients_from_one_forward(rng):
     assert np.array_equal(g_loc, separate(lambda les, loc: location_loss(loc, v)))
 
 
+def test_forward_builds_eighteen_op_nodes(rng):
+    # stem conv, relu, pool (3); per block conv, relu, conv, add, relu (2 x 5);
+    # global pool (1); two matmul + bias_add heads (4). Each conv carries its
+    # bias, so no node of its own adds it.
+    net = DualHeadNet(NetConfig(), P=3, Q=4, seed=0)
+    les, loc, _, _ = net.forward(rng.normal(size=(1, 3, 8, 8)))
+    ops = {id(n) for root in (les, loc) for n in _graph(root) if n._parents}
+    assert len(ops) == 18
+
+
 def test_forward_rejects_bad_channels(rng):
     with pytest.raises(ShapeMismatch):
         small_net().forward(rng.normal(size=(1, 2, 8, 8)))
@@ -175,3 +188,37 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\0" * 16)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_save_leaves_only_the_checkpoint(self, tmp_path):
+        save_checkpoint(tmp_path / "net.ckpt", small_net())
+        save_checkpoint(tmp_path / "net.ckpt", small_net(seed=1))
+        assert os.listdir(tmp_path) == ["net.ckpt"]
+
+    def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, small_net(seed=5))
+        old = path.read_bytes()
+
+        class TornFile:
+            """A file whose one write stores half its bytes, then fails."""
+
+            def __init__(self, p, mode):
+                self.f = open(p, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(network, "open", TornFile, raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(path, small_net(seed=6))
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.seed == 5

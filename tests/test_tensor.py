@@ -24,19 +24,25 @@ class TestForward:
         # 3x3 all-ones image, single 2x2 all-ones kernel, stride 1, no padding
         x = t(np.ones((1, 1, 3, 3)))
         w = t(np.ones((1, 1, 2, 2)))
-        out = T.conv2d(x, w)
+        out = T.conv2d(x, w, t(np.zeros(1)))
         assert out.shape == (1, 1, 2, 2)
         assert np.array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
     def test_conv2d_padding_stride(self, rng):
         x = t(rng.normal(size=(2, 3, 6, 6)))
         w = t(rng.normal(size=(4, 3, 3, 3)))
-        assert T.conv2d(x, w, padding=1).shape == (2, 4, 6, 6)
-        assert T.conv2d(x, w, stride=2, padding=1).shape == (2, 4, 3, 3)
+        b = t(rng.normal(size=4))
+        assert T.conv2d(x, w, b, padding=1).shape == (2, 4, 6, 6)
+        assert T.conv2d(x, w, b, stride=2, padding=1).shape == (2, 4, 3, 3)
 
     def test_conv2d_channel_mismatch(self, rng):
         with pytest.raises(ShapeMismatch):
-            T.conv2d(t(np.ones((1, 2, 4, 4))), t(np.ones((1, 3, 3, 3))))
+            T.conv2d(t(np.ones((1, 2, 4, 4))), t(np.ones((1, 3, 3, 3))), t(np.zeros(1)))
+
+    @pytest.mark.parametrize("bias_shape", [(3,), (1,), (), (2, 1)])
+    def test_conv2d_bias_must_match_output_channels(self, bias_shape):
+        with pytest.raises(ShapeMismatch):
+            T.conv2d(t(np.ones((1, 3, 4, 4))), t(np.ones((2, 3, 3, 3))), t(np.zeros(bias_shape)))
 
     def test_maxpool_ties_first_index(self):
         x = t(np.full((1, 1, 2, 2), 3.0))
@@ -60,11 +66,16 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             T.add(t([1.0, 2.0]), t([[1.0, 2.0]]))
 
-    def test_bias_add_4d(self, rng):
-        x = t(rng.normal(size=(2, 3, 2, 2)))
-        b = t([1.0, 2.0, 3.0])
-        out = T.bias_add(x, b)
-        assert np.allclose(out.data, x.data + np.array([1, 2, 3])[None, :, None, None])
+    def test_bias_add_rejects_4d(self, rng):
+        # a conv layer's bias belongs to conv2d; bias_add is 2-D only
+        with pytest.raises(ShapeMismatch):
+            T.bias_add(t(rng.normal(size=(2, 3, 2, 2))), t([1.0, 2.0, 3.0]))
+
+    def test_bias_add_shape_mismatch(self, rng):
+        with pytest.raises(ShapeMismatch):
+            T.bias_add(t(rng.normal(size=(2, 3))), t([1.0, 2.0]))
+        with pytest.raises(ShapeMismatch):
+            T.bias_add(t(rng.normal(size=(2, 3))), t(np.ones((1, 3))))
 
     def test_flatten(self, rng):
         x = t(rng.normal(size=(2, 3, 4)))
@@ -119,11 +130,13 @@ class TestBackward:
         xdata = rng.normal(size=(2, 3, 4, 4))
         wdata = rng.normal(size=(2, 3, 3, 3))
 
+        bdata = rng.normal(size=2)
+
         def run():
-            x, w = t(xdata.copy()), t(wdata.copy())
-            out = T.tsum(T.relu(T.conv2d(x, w, padding=1)))
+            x, w, b = t(xdata.copy()), t(wdata.copy()), t(bdata.copy())
+            out = T.tsum(T.relu(T.conv2d(x, w, b, padding=1)))
             T.backward(out)
-            return out.data.copy(), x.grad.copy(), w.grad.copy()
+            return out.data.copy(), x.grad.copy(), w.grad.copy(), b.grad.copy()
 
         a, b = run(), run()
         for lhs, rhs in zip(a, b):
@@ -144,12 +157,14 @@ class TestGradientCheck:
     def test_conv2d(self, rng):
         x = t(rng.uniform(-1, 1, size=(2, 2, 5, 5)))
         w = t(rng.uniform(-1, 1, size=(3, 2, 3, 3)))
-        check_gradients(lambda: T.tsum(T.relu(T.conv2d(x, w, padding=1))), [x, w])
+        b = t(rng.uniform(-1, 1, size=3))
+        check_gradients(lambda: T.tsum(T.relu(T.conv2d(x, w, b, padding=1))), [x, w, b])
 
     def test_conv2d_strided(self, rng):
         x = t(rng.uniform(-1, 1, size=(1, 2, 6, 6)))
         w = t(rng.uniform(-1, 1, size=(2, 2, 3, 3)))
-        check_gradients(lambda: T.tsum(T.conv2d(x, w, stride=2)), [x, w])
+        b = t(rng.uniform(-1, 1, size=2))
+        check_gradients(lambda: T.tsum(T.conv2d(x, w, b, stride=2)), [x, w, b])
 
     def test_maxpool(self, rng):
         x = t(rng.uniform(-1, 1, size=(2, 2, 4, 4)))
@@ -162,11 +177,11 @@ class TestGradientCheck:
     def test_add_scale_bias_flatten(self, rng):
         x = t(rng.uniform(-1, 1, size=(2, 3, 2, 2)))
         y = t(rng.uniform(-1, 1, size=(2, 3, 2, 2)))
-        b = t(rng.uniform(-1, 1, size=3))
+        b = t(rng.uniform(-1, 1, size=12))
 
         def f():
-            z = T.bias_add(T.scale(T.add(x, y), 0.7), b)
-            return T.tsum(T.flatten(z))
+            z = T.bias_add(T.flatten(T.scale(T.add(x, y), 0.7)), b)
+            return T.tsum(z)
 
         check_gradients(f, [x, y, b])
 
@@ -179,9 +194,9 @@ class TestGradientCheck:
 # kernels against direct-loop references
 
 
-def conv2d_loop(x, w, g, stride, padding):
-    """Direct-loop cross-correlation: (output, weight grad, input grad) for
-    upstream gradient g."""
+def conv2d_loop(x, w, bias, g, stride, padding):
+    """Direct-loop cross-correlation plus bias: (output, weight grad, input
+    grad, bias grad) for upstream gradient g."""
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     bsz, _, hp, wp = xp.shape
     cout, _, kh, kw = w.shape
@@ -195,11 +210,11 @@ def conv2d_loop(x, w, g, stride, padding):
                 for c in range(wo):
                     rows = slice(r * stride, r * stride + kh)
                     cols = slice(c * stride, c * stride + kw)
-                    out[b, o, r, c] = np.sum(xp[b, :, rows, cols] * w[o])
+                    out[b, o, r, c] = np.sum(xp[b, :, rows, cols] * w[o]) + bias[o]
                     gw[o] += g[b, o, r, c] * xp[b, :, rows, cols]
                     gxp[b, :, rows, cols] += g[b, o, r, c] * w[o]
     gx = gxp[:, :, padding : hp - padding, padding : wp - padding]
-    return out, gw, gx
+    return out, gw, gx, g.sum((0, 2, 3))
 
 
 def maxpool_loop(x, g, k):
@@ -247,24 +262,28 @@ class TestKernelReference:
     def check_conv2d(rng, bsz, kernel, stride, padding):
         x = t(rng.normal(size=(bsz, 3, 7, 5)))
         w = t(rng.normal(size=(4, 3, *kernel)))
-        out = T.conv2d(x, w, stride=stride, padding=padding)
+        b = t(rng.normal(size=4))
+        out = T.conv2d(x, w, b, stride=stride, padding=padding)
         g = rng.normal(size=out.shape)
         vjp(out, g)
-        ref_out, ref_gw, ref_gx = conv2d_loop(x.data, w.data, g, stride, padding)
+        ref_out, ref_gw, ref_gx, ref_gb = conv2d_loop(x.data, w.data, b.data, g, stride, padding)
         assert out.data.flags.c_contiguous
         np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
         np.testing.assert_allclose(w.grad, ref_gw, rtol=0, atol=1e-12)
         np.testing.assert_allclose(x.grad, ref_gx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, ref_gb, rtol=0, atol=1e-12)
 
     def test_conv2d_constant_input_skips_input_grad(self, rng):
         x = t(rng.normal(size=(2, 3, 6, 4)), grad=False)
         w = t(rng.normal(size=(2, 3, 3, 3)))
-        out = T.conv2d(x, w, padding=1)
+        b = t(rng.normal(size=2))
+        out = T.conv2d(x, w, b, padding=1)
         g = rng.normal(size=out.shape)
         vjp(out, g)
-        _, ref_gw, _ = conv2d_loop(x.data, w.data, g, 1, 1)
+        _, ref_gw, _, ref_gb = conv2d_loop(x.data, w.data, b.data, g, 1, 1)
         assert x.grad is None
         np.testing.assert_allclose(w.grad, ref_gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, ref_gb, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_maxpool_matches_loop_exactly(self, rng, k):
