@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .data import AugmentConfig, Dataset, eval_transform, resize_bilinear, write_pgm
 from .errors import BadClass, BadConfig, BadK
 from .network import DualHeadNet
@@ -39,19 +40,14 @@ class AttentionMap:
 def build_index(net: DualHeadNet, ds: Dataset, aug: AugmentConfig,
                 batch_size: int = 20) -> FeatureIndex:
     """Pooled features for every sample at the deterministic eval scale."""
-    rows = []
-    imgs = [eval_transform(s, aug) for s in ds.samples]
-    for start in range(0, len(imgs), batch_size):
-        chunk = np.stack(imgs[start : start + batch_size])
-        _, _, features, _ = net.forward(chunk)
-        rows.extend(features.data)
-    feats = np.stack(rows) if rows else np.zeros((0, net.feature_dim))
+    if not ds.samples:
+        return FeatureIndex(np.zeros((0, net.feature_dim)), [])
+    _, _, feats = net.infer((eval_transform(s, aug) for s in ds.samples), batch_size)
     return FeatureIndex(feats, [s.id for s in ds.samples])
 
 
 def query_feature(net: DualHeadNet, sample, aug: AugmentConfig) -> np.ndarray:
-    _, _, features, _ = net.forward(eval_transform(sample, aug)[None])
-    return features.data[0]
+    return net.infer([eval_transform(sample, aug)])[2][0]
 
 
 def retrieve(index: FeatureIndex, query: np.ndarray, k: int) -> list:
@@ -75,7 +71,8 @@ def attention(net: DualHeadNet, image: np.ndarray, head: str, class_index: int,
         raise BadConfig(f"head must be 'lesion' or 'location', got {head!r}")
     if not 0 <= class_index < n_classes:
         raise BadClass(f"class index {class_index} out of range for {head} head")
-    _, _, _, conv_maps = net.forward(np.asarray(image)[None])
+    with T.no_grad():
+        _, _, _, conv_maps = net.forward(np.asarray(image)[None])
     maps = conv_maps.data[0]                    # K x h x w
     raw = np.tensordot(weights[:, class_index], maps, axes=(0, 0))
     lo, hi = raw.min(), raw.max()

@@ -21,6 +21,7 @@ from . import analysis, metrics
 from .data import (
     AugmentConfig,
     SynthSpec,
+    eval_transform,
     load_manifest,
     planted_correlation,
     save_manifest,
@@ -216,9 +217,16 @@ def cmd_eval(args):
 
 def cmd_ensemble(args):
     a, names_a = metrics.read_scores(args.scores_a, args.kind)
-    b, _ = metrics.read_scores(args.scores_b, args.kind)
+    b, names_b = metrics.read_scores(args.scores_b, args.kind)
+    if names_a != names_b:
+        raise MatrixMismatch(f"class columns differ: {args.scores_a} has {names_a}, "
+                             f"{args.scores_b} has {names_b}")
     combined = (metrics.ensemble_mean if args.method == "mean" else metrics.ensemble_max)(a, b)
     ds = load_manifest(args.labels)
+    names = list(ds.lesion_names if args.kind == "lesion" else ds.location_names)
+    if names_a != names:
+        raise MatrixMismatch(f"class columns {names_a} differ from the {args.kind} names "
+                             f"{names} of {args.labels}")
     by_id = {s.id: s for s in ds.samples}
     unlabelled = [i for i in combined.ids if i not in by_id]
     if unlabelled:
@@ -284,8 +292,6 @@ def cmd_attention(args):
         class_index = int(np.flatnonzero(sample.u)[0])   # ground-truth primary lesion
     else:
         class_index = sample.v - 1
-    from .data import eval_transform
-
     img = eval_transform(sample, aug)
     amap = analysis.attention(net, img, args.head, class_index, upsample=True)
     analysis.export_attention(args.out_dir, f"{args.id}_{args.head}{class_index}", amap)

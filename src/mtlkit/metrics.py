@@ -95,6 +95,10 @@ def top_k_accuracy(s: ScoreMatrix, v, k: int) -> float:
     if not 1 <= k <= q:
         raise BadK(f"k must lie in 1..{q}, got {k}")
     v = np.asarray(v)
+    if v.shape != (n,):
+        raise MatrixMismatch(f"locations {v.shape} do not match scores {(n, q)}")
+    if n and not (1 <= v.min() and v.max() <= q):
+        raise MatrixMismatch(f"locations must lie in 1..{q}, got {v.min()}..{v.max()}")
     hits = 0
     for i in range(n):
         top = np.argsort(-s.scores[i], kind="stable")[:k]

@@ -20,6 +20,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -139,6 +140,14 @@ class DualHeadNet:
         lesion_logits = T.bias_add(T.matmul(features, self.lesion_w), self.lesion_b)
         location_logits = T.bias_add(T.matmul(features, self.location_w), self.location_b)
         return lesion_logits, location_logits, features, conv_maps
+
+    def infer(self, images, batch_size: int = 20):
+        """(lesion, location, features) arrays; images are drawn batch_size per forward."""
+        it, outs = iter(images), []
+        with T.no_grad():
+            while chunk := list(islice(it, batch_size)):
+                outs.append([t.data for t in self.forward(np.stack(chunk))[:3]])
+        return tuple(np.concatenate(col) for col in zip(*outs))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ gradient. ``backward`` sums what reaches a node out of place, frees it
 once the node's rule has run and writes ``.grad`` only on leaves (adding
 to one already there), so one graph may be walked from several roots.
 
+Inference contract: ops inside ``with no_grad():`` return results with no
+parents, no backward rule and requires_grad False, so no im2col matrix, padded
+input or mask outlives its op; exiting, even by raising, restores the prior mode.
+
 Conventions fixed for determinism:
   * everything is float64, row-major;
   * relu's subgradient at exactly 0 is 0;
@@ -36,10 +40,13 @@ window into a leading axis.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import NonScalarRoot, ShapeMismatch
 
+_grad_enabled = True  # False inside no_grad()
 
 class Tensor:
     """A dense float64 array plus, on a leaf, a gradient that may be shared."""
@@ -72,9 +79,20 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
 
+@contextmanager
+def no_grad():
+    """Record no graph inside the block (the inference contract above)."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _result(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

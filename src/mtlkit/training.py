@@ -70,16 +70,6 @@ def _train_epoch(net, samples, rng, aug, opt, cfg, epoch):
     return {f"train_{k}": total / len(samples) for k, total in sums.items()}
 
 
-def _forward_logits(net, imgs, batch_size):
-    """Lesion and location logits of a stacked image array, one forward per batch."""
-    les, loc = [], []
-    for start in range(0, len(imgs), batch_size):
-        les_logits, loc_logits, _, _ = net.forward(imgs[start : start + batch_size])
-        les.append(les_logits.data)
-        loc.append(loc_logits.data)
-    return np.concatenate(les), np.concatenate(loc)
-
-
 def _score_matrices(ids, les_scores, loc_scores):
     return (
         metrics.ScoreMatrix(np.asarray(les_scores), ids, "lesion"),
@@ -93,21 +83,17 @@ def evaluate_scores(net: DualHeadNet, samples, aug: AugmentConfig,
 
     Lesion scores are sigmoid activations, location scores softmax. With
     use_ten_crop the post-activation scores are averaged over the 10 crops.
+    A forward holds whole samples' views: one view alone (a gemv) rounds differently.
     """
     if not samples:
         raise EmptyDataset("no samples to score")
-    ids = [s.id for s in samples]
-    if not use_ten_crop:
-        les, loc = _forward_logits(net, np.stack([eval_transform(s, aug) for s in samples]),
-                                   batch_size)
-        return _score_matrices(ids, objective.sigmoid(les), objective.softmax(loc))
-    les_rows, loc_rows = [], []
-    for s in samples:
-        crops = np.stack(ten_crop(s, aug))
-        les_logits, loc_logits, _, _ = net.forward(crops)
-        les_rows.append(objective.sigmoid(les_logits.data).mean(axis=0))
-        loc_rows.append(objective.softmax(loc_logits.data).mean(axis=0))
-    return _score_matrices(ids, les_rows, loc_rows)
+    n, k = len(samples), 10 if use_ten_crop else 1
+    views = (v for s in samples for v in (ten_crop(s, aug) if use_ten_crop
+                                          else [eval_transform(s, aug)]))
+    les, loc, _ = net.infer(views, max(batch_size // k, 1) * k)
+    return _score_matrices([s.id for s in samples],
+                           objective.sigmoid(les).reshape(n, k, -1).mean(axis=1),
+                           objective.softmax(loc).reshape(n, k, -1).mean(axis=1))
 
 
 def train(net: DualHeadNet, train_samples, val_samples, cfg: TrainConfig, on_epoch=None):
@@ -149,7 +135,7 @@ def train(net: DualHeadNet, train_samples, val_samples, cfg: TrainConfig, on_epo
         record["decay"] = 0.5 * cfg.weight_decay * sum(
             float((p.tensor.data ** 2).sum()) for p in opt.params)
         if val_samples:
-            les, loc = _forward_logits(net, val_imgs, cfg.batch_size)
+            les, loc, _ = net.infer(val_imgs, cfg.batch_size)
             bd, _ = objective.joint_loss(Tensor(les), Tensor(loc), u_val, v_val, cfg.mode)
             val_loss = bd.location_loss if cfg.mode == "location_only" else bd.lesion_loss
             record["val_loss"] = val_loss

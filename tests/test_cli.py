@@ -459,6 +459,37 @@ def test_unlabelled_score_id_is_matrix_mismatch(workspace, tmp_path, capsys):
     assert "'stranger'" in _single_error(capsys, "MatrixMismatch")
 
 
+def _rewrite_csv(path, out, edit):
+    """Write the score CSV at path to out with every row, header first, edited."""
+    rows = [line.split(",") for line in open(path).read().splitlines()]
+    out.write_text("".join(",".join(edit(row)) + "\n" for row in rows))
+    return str(out)
+
+
+def test_ensemble_rejects_reordered_columns(workspace, tmp_path, capsys):
+    # the same scores with the first two classes swapped: same shape, same ids
+    good = _score_csv(workspace, tmp_path)
+    swapped = _rewrite_csv(good, tmp_path / "swapped.csv",
+                           lambda row: [row[0], row[2], row[1], *row[3:]])
+    capsys.readouterr()
+    assert main(["ensemble", good, swapped, "--labels", workspace["manifest"]]) == 1
+    assert "class columns differ" in _single_error(capsys, "MatrixMismatch")
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("lesion", lambda row: [row[0], "extra" if row[0] == "id" else row[1], *row[2:]]),
+    ("location", lambda row: [*row, "extra" if row[0] == "id" else "0.0"]),
+], ids=["lesion-renamed", "location-added"])
+def test_ensemble_rejects_columns_unlike_the_manifest(workspace, tmp_path, capsys, kind, edit):
+    # both CSVs agree, but one class name is not the manifest's
+    _score_csv(workspace, tmp_path)
+    odd = _rewrite_csv(str(tmp_path / f"s_{kind}.csv"), tmp_path / "odd.csv", edit)
+    capsys.readouterr()
+    assert main(["ensemble", odd, odd, "--labels", workspace["manifest"], "--kind", kind]) == 1
+    line = _single_error(capsys, "MatrixMismatch")
+    assert "'extra'" in line and workspace["manifest"] in line
+
+
 def _drop(key):
     return lambda state: {k: v for k, v in state.items() if k != key}
 

@@ -38,9 +38,9 @@ def make_manifest(tmp_path, records, lesions=("a", "b"), locations=("x", "y")):
 
 
 class TestPpm:
-    def test_round_trip_quantized(self, rng):
+    def test_round_trip_quantized(self, rng, tmp_path):
         img = rng.random((3, 5, 7))
-        path = "/tmp/mtlkit_test.ppm"
+        path = tmp_path / "round_trip.ppm"
         write_ppm(path, img)
         loaded = read_ppm(path)
         assert loaded.shape == (3, 5, 7)

@@ -189,6 +189,13 @@ class TestTopK:
         with pytest.raises(BadK):
             top_k_accuracy(sm, [1, 2], 4)
 
+    @pytest.mark.parametrize("v", [[1, 0], [1, 4], [[1], [2]], [1, 2, 3], [1]],
+                             ids=["below-1", "above-q", "column", "long", "short"])
+    def test_locations_must_fit_scores(self, v):
+        sm = ScoreMatrix(np.full((2, 3), 1 / 3), self.ids(2), "location")
+        with pytest.raises(MatrixMismatch):
+            top_k_accuracy(sm, v, 1)
+
 
 class TestCorrelation:
     def make_ds(self, rows):

@@ -63,6 +63,32 @@ def test_batch_invariance(rng):
     assert np.allclose(loc2.data, np.vstack([loc_a.data, loc_b.data]), atol=1e-12)
 
 
+def test_infer_draws_one_batch_per_forward(rng, monkeypatch):
+    # images come from an iterable batch_size at a time, so memory does not
+    # grow with their number; the arrays equal the forwards of those batches
+    net = small_net()
+    images = rng.normal(size=(7, 3, 8, 8))
+    drawn, per_forward = [0], []
+    forward = DualHeadNet.forward
+
+    def counting_forward(self, batch):
+        per_forward.append((len(batch), drawn[0]))
+        return forward(self, batch)
+
+    def draw():
+        for img in images:
+            drawn[0] += 1
+            yield img
+
+    monkeypatch.setattr(DualHeadNet, "forward", counting_forward)
+    out = net.infer(draw(), batch_size=3)
+    monkeypatch.undo()
+    assert per_forward == [(3, 3), (3, 6), (1, 7)]
+    chunks = [net.forward(images[i : i + 3]) for i in (0, 3, 6)]
+    for j, got in enumerate(out):
+        assert np.array_equal(got, np.concatenate([c[j].data for c in chunks]))
+
+
 def test_shared_trunk_head_isolation(rng):
     net = small_net()
     batch = rng.normal(size=(2, 3, 8, 8))

@@ -143,6 +143,59 @@ class TestBackward:
             assert np.array_equal(lhs, rhs)
 
 
+def every_op(rng):
+    """One call of every op on leaves that require a gradient."""
+    x4 = t(rng.normal(size=(2, 3, 4, 4)))
+    w4, b4 = t(rng.normal(size=(2, 3, 3, 3))), t(rng.normal(size=2))
+    x2, w2, b2 = t(rng.normal(size=(2, 3))), t(rng.normal(size=(3, 4))), t(rng.normal(size=4))
+    return [T.relu(x2), T.add(x2, x2), T.scale(x2, 2.0), T.flatten(x4), T.tsum(x2),
+            T.sum_squares(x2), T.matmul(x2, w2), T.bias_add(T.matmul(x2, w2), b2),
+            T.conv2d(x4, w4, b4, padding=1), T.maxpool2d(x4, 2), T.global_avg_pool(x4)]
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self, rng):
+        with T.no_grad():
+            outs = every_op(rng)
+        for out in outs:
+            assert out._parents == () and out._backward is None
+            assert out.requires_grad is False
+
+    def test_values_match_recorded_ops(self):
+        recorded = every_op(np.random.default_rng(1))
+        with T.no_grad():
+            plain = every_op(np.random.default_rng(1))
+        for a, b in zip(recorded, plain):
+            assert a.requires_grad and np.array_equal(a.data, b.data)
+
+    def test_flag_restored_after_exception(self):
+        with pytest.raises(ShapeMismatch):
+            with T.no_grad():
+                T.add(t(np.ones(2)), t(np.ones(3)))
+        assert T.relu(t([1.0]))._parents != ()
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert T.relu(t([1.0]))._parents == ()
+        assert T.relu(t([1.0])).requires_grad
+
+    def test_gradients_after_the_block_unchanged(self, rng):
+        xdata = rng.normal(size=(2, 3, 4, 4))
+        wdata, bdata = rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2)
+
+        def run():
+            x, w, b = t(xdata), t(wdata.copy()), t(bdata.copy())
+            out = T.tsum(T.maxpool2d(T.relu(T.conv2d(x, w, b, padding=1)), 2))
+            T.backward(out)
+            return out.data, x.grad, w.grad, b.grad
+
+        before = run()
+        with T.no_grad():
+            assert T.tsum(T.relu(t(xdata)))._backward is None
+        for lhs, rhs in zip(before, run()):
+            assert np.array_equal(lhs, rhs)
+
+
 class TestGradientCheck:
     """Central finite differences vs autodiff for every op kind."""
 

@@ -281,16 +281,61 @@ class TestEvaluateScores:
         b, _ = evaluate_scores(net, samples, aug, use_ten_crop=True)
         assert np.abs(a.scores - b.scores).max() < 1e-12
 
-    def test_ten_crop_is_mean_of_crop_scores(self):
+    @pytest.mark.parametrize("batch_size", [1, 7, 20])
+    def test_ten_crop_is_mean_of_crop_scores(self, batch_size):
         from mtlkit.data import ten_crop
-        from mtlkit.objective import sigmoid
+        from mtlkit.objective import sigmoid, softmax
 
-        ds = tiny_dataset(3)
+        ds = tiny_dataset(5)
         net = DualHeadNet(NetConfig(width=4, blocks=1), ds.P, ds.Q, seed=1)
-        les, _ = evaluate_scores(net, ds.samples, TINY_AUG, use_ten_crop=True)
-        crops = np.stack(ten_crop(ds.samples[0], TINY_AUG))
-        logits, _, _, _ = net.forward(crops)
-        assert np.abs(les.scores[0] - sigmoid(logits.data).mean(axis=0)).max() < 1e-12
+        les, loc = evaluate_scores(net, ds.samples, TINY_AUG, batch_size, use_ten_crop=True)
+        # bit-equal: a forward must hold whole samples' crops, never one crop alone
+        for i, s in enumerate(ds.samples):
+            les_logits, loc_logits, _, _ = net.forward(np.stack(ten_crop(s, TINY_AUG)))
+            assert np.array_equal(les.scores[i], sigmoid(les_logits.data).mean(axis=0))
+            assert np.array_equal(loc.scores[i], softmax(loc_logits.data).mean(axis=0))
+
+
+def test_inference_builds_no_graph(monkeypatch):
+    """Every eval forward runs under no_grad; training forwards keep their graph."""
+    from mtlkit import analysis, training
+    from mtlkit.data import eval_transform
+
+    caller = ["train"]
+    seen = []
+    forward, train_epoch = DualHeadNet.forward, training._train_epoch
+
+    def recording_forward(self, batch):
+        out = forward(self, batch)
+        seen.append((caller[0], out[0].requires_grad))
+        return out
+
+    def labelled_epoch(*args):
+        caller[0] = "train"
+        out = train_epoch(*args)
+        caller[0] = "val"
+        return out
+
+    monkeypatch.setattr(DualHeadNet, "forward", recording_forward)
+    monkeypatch.setattr(training, "_train_epoch", labelled_epoch)
+    ds = tiny_dataset(20)
+    net = DualHeadNet(NetConfig(width=4, blocks=1), ds.P, ds.Q, seed=0)
+    _, _, aug = train(net, ds.samples[:15], ds.samples[15:], tiny_config(pretrain_epochs=1))
+    calls = [("single", lambda: evaluate_scores(net, ds.samples, aug, 7)),
+             ("ten_crop", lambda: evaluate_scores(net, ds.samples, aug, 7, use_ten_crop=True)),
+             ("index", lambda: analysis.build_index(net, ds, aug, batch_size=6)),
+             ("query", lambda: analysis.query_feature(net, ds.samples[0], aug)),
+             ("attention", lambda: analysis.attention(net, eval_transform(ds.samples[0], aug),
+                                                      "lesion", 0))]
+    for name, call in calls:
+        caller[0] = name
+        call()
+    by_caller = {}
+    for name, requires_grad in seen:
+        by_caller.setdefault(name, set()).add(requires_grad)
+    assert by_caller == {"train": {True}, "val": {False}, "single": {False},
+                         "ten_crop": {False}, "index": {False}, "query": {False},
+                         "attention": {False}}
 
 
 class TestCrossValidation:
