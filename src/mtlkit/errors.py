@@ -95,3 +95,7 @@ class CheckpointError(MtlkitError):
 
 class DimensionMismatch(MtlkitError):
     """Checkpoint and dataset dimensions are incompatible."""
+
+
+class WorkerDied(MtlkitError):
+    """A forked fold-training process ended without sending its result."""

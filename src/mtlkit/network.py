@@ -154,6 +154,13 @@ class DualHeadNet:
 # checkpoint serialization
 
 
+def _param_shapes(config: NetConfig, P: int, Q: int) -> list[tuple]:
+    """Shapes of DualHeadNet(config, P, Q).parameters(), in order, without building it."""
+    w, c = config.width, config.in_channels
+    trunk = [(w, c, 3, 3), (w,)] + [(w, w, 3, 3), (w,)] * (2 * config.blocks)
+    return trunk + [(w, P), (P,), (w, Q), (Q,)]
+
+
 def _write_array(buf: bytearray, arr: np.ndarray):
     buf += struct.pack("<I", arr.ndim)
     for d in arr.shape:
@@ -237,15 +244,15 @@ def load_checkpoint(path):
     if missing:
         raise CheckpointError(f"{path}: state blob lacks {', '.join(missing)}")
     try:
-        net = DualHeadNet(NetConfig(**state.pop("config")), state.pop("P"), state.pop("Q"),
-                          state.pop("seed"))
-    except TypeError as e:
+        config, P, Q = NetConfig(**state.pop("config")), state.pop("P"), state.pop("Q")
+        # check the shapes before building: a huge P or width would allocate first
+        if (len(arrays) != 4 * config.blocks + 6
+                or [a.shape for a in arrays] != _param_shapes(config, P, Q)):
+            raise CheckpointError(f"{path}: stored parameter shapes do not match the "
+                                  f"net config, P={P!r} and Q={Q!r}")
+        net = DualHeadNet(config, P, Q, state.pop("seed"))
+    except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad net config or dimensions: {e}") from None
-    params = net.parameters()
-    if len(params) != len(arrays):
-        raise CheckpointError(f"parameter count mismatch: {len(arrays)} vs {len(params)}")
-    for p, arr in zip(params, arrays):
-        if p.tensor.data.shape != arr.shape:
-            raise CheckpointError(f"shape mismatch for {p.name}")
+    for p, arr in zip(net.parameters(), arrays):
         p.tensor.data = arr
     return net, buffers, state

@@ -6,13 +6,16 @@ generator, so a (config, seed) pair reproduces training exactly.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import metrics, objective
 from .data import AugmentConfig, Dataset, assign_folds, augment, channel_means, eval_transform, ten_crop
-from .errors import BadConfig, EmptyDataset, NonFiniteLoss
+from .errors import BadConfig, EmptyDataset, NonFiniteLoss, WorkerDied
 from .network import DualHeadNet, NetConfig
 from .optim import SGD, PlateauConfig
 from .tensor import Tensor, backward
@@ -174,24 +177,105 @@ def fold_metrics(net, test_samples, aug, cfg: TrainConfig):
     return report, les_sm, loc_sm
 
 
+def _usable_cpus():
+    """CPUs this process may run on; 1 where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_folds(ds, cfg, folds):
+    """Train each fold's net in turn; returns {fold: (parameter arrays, fitted
+    AugmentConfig) or the fold's exception}, stopping at the first failure."""
+    fitted = {}
+    for f in folds:
+        try:
+            fold_cfg = replace(cfg, seed=cfg.seed + f)
+            net = DualHeadNet(cfg.net, ds.P, ds.Q, seed=fold_cfg.seed)
+            train_samples = [s for s, g in zip(ds.samples, ds.folds) if g != f]
+            _, _, aug = train(net, train_samples, None, fold_cfg)
+            fitted[f] = ([p.tensor.data for p in net.parameters()], aug)
+        except Exception as e:
+            fitted[f] = e
+            break
+    return fitted
+
+
+def _fit_in_child(w, ds, cfg, folds):
+    """Forked child: pickle _fit_folds' result into pipe fd w and leave
+    through os._exit, never unwinding into the caller's stack or flushing
+    its stdio; the exit status is 0 only once the result is written."""
+    status = 1
+    try:
+        with os.fdopen(w, "wb") as pipe:
+            pickle.dump(_fit_folds(ds, cfg, folds), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _child_result(data, code, folds):
+    """A child's unpickled result, or WorkerDied at its first fold if it
+    ended (exit code ``code``) without writing one."""
+    if code == 0:
+        return pickle.loads(data)
+    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+    return {folds[0]: WorkerDied(f"the process training fold{'s' * (len(folds) > 1)} "
+                                 f"{', '.join(map(str, folds))} ended without a result ({how})")}
+
+
 def cross_validate(ds: Dataset, cfg: TrainConfig):
     """K-fold cross-validation; per-fold seeds are cfg.seed + fold index.
 
     Each fold trains a fresh net on the remaining folds and evaluates on
-    the held-out one, so every sample is scored exactly once.
+    the held-out one, so every sample is scored exactly once. The folds
+    are dealt round-robin to n = min(folds, usable CPUs) processes: this
+    one and n - 1 forked children, which send back parameters and fitted
+    AugmentConfigs. This process scores every fold in fold order, so the
+    report equals the serial one bit for bit, and a failure raises the
+    lowest-numbered failing fold's exception, as the serial loop would.
     """
     _check_config(cfg)
     if ds.folds is None:
         ds = assign_folds(ds, cfg.n_folds, cfg.seed)
     fold_ids = sorted(set(int(f) for f in ds.folds))
+    n = min(len(fold_ids), _usable_cpus())
+    children = {}   # pid -> (read end of its pipe, its folds), until reaped
+    try:
+        for rank in range(1, n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _fit_in_child(w, ds, cfg, fold_ids[rank::n])
+            os.close(w)
+            children[pid] = (os.fdopen(r, "rb"), fold_ids[rank::n])
+        fitted = _fit_folds(ds, cfg, fold_ids[::n])
+        # no fold precedes the first, so its failure needs no child's result
+        if not isinstance(fitted[fold_ids[0]], Exception):
+            for pid, (pipe, folds) in list(children.items()):
+                with pipe:
+                    data = pipe.read()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[pid]
+                fitted.update(_child_result(data, code, folds))
+        failed = [f for f in fold_ids if isinstance(fitted.get(f), Exception)]
+        if failed:
+            raise fitted[failed[0]]
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     fold_reports = []
     for f in fold_ids:
-        train_samples = [s for s, g in zip(ds.samples, ds.folds) if g != f]
-        test_samples = [s for s, g in zip(ds.samples, ds.folds) if g == f]
-        fold_cfg = replace(cfg, seed=cfg.seed + f)
-        net = DualHeadNet(cfg.net, ds.P, ds.Q, seed=fold_cfg.seed)
-        _, _, aug = train(net, train_samples, None, fold_cfg)
-        report, _, _ = fold_metrics(net, test_samples, aug, fold_cfg)
+        arrays, aug = fitted[f]
+        net = DualHeadNet(cfg.net, ds.P, ds.Q, seed=cfg.seed + f)
+        for p, arr in zip(net.parameters(), arrays):
+            p.tensor.data = arr
+        report, _, _ = fold_metrics(net, [s for s, g in zip(ds.samples, ds.folds) if g == f],
+                                    aug, cfg)
         report["fold"] = f
         fold_reports.append(report)
     aggregate = {}

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,14 @@ def check_gradients(f, params, tol=1e-4, step=1e-5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children():
+    """Fail a test that leaves a child process of the test process unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"test left a child process running or unreaped (waitpid gave pid {pid})")

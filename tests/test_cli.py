@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 
+from mtlkit import training
 from mtlkit.cli import main, train_config_from_dict
 from mtlkit.data import load_manifest
 from mtlkit.training import TrainConfig
@@ -168,6 +169,32 @@ def test_cv_command(workspace, tmp_path):
     report = json.loads(report_path.read_text())
     assert len(report["folds"]) == TINY_TRAIN["n_folds"]
     assert "map_class" in report["aggregate"]
+
+
+def test_cv_report_bytes_do_not_depend_on_cpu_count(workspace, tmp_path, monkeypatch):
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        path = tmp_path / f"cv{cpus}.json"
+        assert main(["cv", workspace["cfg_path"], "--report-out", str(path)]) == 0
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_cv_worker_death_fails_in_one_line(workspace, tmp_path, capsys, monkeypatch):
+    parent, real = os.getpid(), training.train
+
+    def dying_train(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(training, "train", dying_train)
+    capsys.readouterr()
+    assert main(_argv("cv", workspace, tmp_path)) == 1
+    line = _single_error(capsys, "WorkerDied")
+    assert line.endswith("fold 1 ended without a result (exit status 3)")
 
 
 def test_correlate_command(workspace, tmp_path):
@@ -498,11 +525,17 @@ def _nest(section, **extra):
     return lambda state: dict(state, **{section: dict(state[section], **extra)})
 
 
+# the dimension edits would allocate terabytes if the net were built before the check
 @pytest.mark.parametrize("edit", [
     lambda state: [1, 2], _drop("config"), _drop("P"), _drop("Q"), _drop("seed"),
     _nest("config", widht=3), _nest("augment", crop_size=8),
+    lambda state: dict(state, P=2**40), lambda state: dict(state, Q=state["Q"] + 1),
+    lambda state: dict(state, P="3"), _nest("config", width=2**20),
+    _nest("config", blocks=2**40), _nest("config", blocks=2.0),
+    lambda state: dict(state, seed=-1),
 ], ids=["not-object", "no-config", "no-P", "no-Q", "no-seed", "config-unknown-key",
-        "augment-unknown-key"])
+        "augment-unknown-key", "huge-P", "Q-off-by-one", "P-string", "huge-width",
+        "huge-blocks", "float-blocks", "negative-seed"])
 def test_bad_checkpoint_state_fails_in_one_line(workspace, tmp_path, capsys, edit):
     data = open(workspace["ckpt"], "rb").read()
     start = data.rindex(b'{"P": ')  # the JSON state blob ends the file

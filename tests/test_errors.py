@@ -28,4 +28,4 @@ def test_error_pickles_round_trip(cls):
 
 
 def test_every_error_is_walked():
-    assert {"ShapeMismatch", "ParseError", "NonFiniteLoss"} <= {c.__name__ for c in ERRORS}
+    assert {"ShapeMismatch", "ParseError", "NonFiniteLoss", "WorkerDied"} <= {c.__name__ for c in ERRORS}

@@ -26,6 +26,13 @@ def test_full_scale_head_shapes():
     assert net.location_w.shape == (net.feature_dim, 23)
 
 
+@pytest.mark.parametrize("config", [NetConfig(), NetConfig(in_channels=1, width=5, blocks=0),
+                                    NetConfig(width=3, blocks=3)])
+def test_param_shapes_match_the_built_net(config):
+    net = DualHeadNet(config, P=4, Q=6, seed=0)
+    assert network._param_shapes(config, 4, 6) == [p.tensor.shape for p in net.parameters()]
+
+
 def test_single_location_rejected():
     with pytest.raises(BadConfig):
         DualHeadNet(NetConfig(), P=3, Q=1, seed=0)

@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,7 @@ from mtlkit.data import (
     planted_correlation,
     synthesize,
 )
-from mtlkit.errors import BadConfig, EmptyDataset, NonFiniteLoss
+from mtlkit.errors import BadConfig, EmptyDataset, NonFiniteLoss, WorkerDied
 from mtlkit.network import DualHeadNet, NetConfig, load_checkpoint, save_checkpoint
 from mtlkit.training import (
     TrainConfig,
@@ -362,6 +364,78 @@ class TestCrossValidation:
         report = cross_validate(ds, tiny_config(epochs=1, mode="lesion_only"))
         assert "top1" not in report["folds"][0]
         assert "map_class" in report["folds"][0]
+
+
+def _fold_failing_train(monkeypatch, failing):
+    """Patch training.train to raise NonFiniteLoss for the given folds (seed 0)."""
+    from mtlkit import training
+
+    real = training.train
+
+    def failing_train(net, train_samples, val_samples, cfg, on_epoch=None):
+        if cfg.seed in failing:
+            raise NonFiniteLoss(f"fold {cfg.seed}")
+        return real(net, train_samples, val_samples, cfg, on_epoch)
+
+    monkeypatch.setattr(training, "train", failing_train)
+
+
+class TestParallelFolds:
+    @pytest.mark.parametrize("mode", ["mtl", "lesion_only", "location_only"])
+    def test_reports_equal_at_every_cpu_count(self, monkeypatch, mode):
+        from mtlkit import training
+
+        # the reports are rank metrics, blind to a last-bit change in the weights
+        real, weights = training.fold_metrics, []
+
+        def recording_fold_metrics(net, test_samples, aug, cfg):
+            weights.append([p.tensor.data for p in net.parameters()])
+            return real(net, test_samples, aug, cfg)
+
+        monkeypatch.setattr(training, "fold_metrics", recording_fold_metrics)
+        ds = assign_folds(tiny_dataset(18), 3, seed=0)
+        cfg = tiny_config(epochs=1, mode=mode, use_ten_crop=True, aux_weight=0.5)
+        reports = []
+        for cpus in (1, 2, 3, 16):
+            monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+            reports.append(cross_validate(ds, cfg))
+        assert all(r == reports[0] for r in reports[1:])
+        assert len(weights) == 12
+        for i in range(3, 12):
+            assert all(np.array_equal(a, b) for a, b in zip(weights[i], weights[i % 3]))
+
+    @pytest.mark.parametrize("failing, raised", [({1, 3}, 1), ({0}, 0), ({0, 1}, 0), ({2, 3}, 2),
+                                                ({1, 2}, 1)])
+    def test_lowest_failing_fold_raises_and_no_child_is_left(self, monkeypatch, failing, raised):
+        from mtlkit import training
+
+        # at two processes the caller trains folds 0 and 2, a child folds 1 and 3
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+        _fold_failing_train(monkeypatch, failing)
+        ds = assign_folds(tiny_dataset(20), 4, seed=0)
+        with pytest.raises(NonFiniteLoss, match=f"^fold {raised}$"):
+            cross_validate(ds, tiny_config(epochs=1, n_folds=4))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("folds", [2, 5])
+    def test_child_ending_without_a_result_is_worker_died(self, monkeypatch, folds):
+        from mtlkit import training
+
+        parent, real = os.getpid(), training.train
+
+        def dying_train(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(training, "train", dying_train)
+        ds = assign_folds(tiny_dataset(20), folds, seed=0)
+        owned = "fold 1" if folds == 2 else "folds 1, 3"
+        with pytest.raises(WorkerDied, match=f"{owned} ended without a result "
+                                             r"\(killed by signal 9\)$"):
+            cross_validate(ds, tiny_config(epochs=1, n_folds=folds))
 
 
 def test_fold_metrics_report_shape():
