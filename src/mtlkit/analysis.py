@@ -63,13 +63,10 @@ def retrieve(index: FeatureIndex, query: np.ndarray, k: int) -> list:
 def attention(net: DualHeadNet, image: np.ndarray, head: str, class_index: int,
               upsample: bool = False) -> AttentionMap:
     """Class activation map for one image (C x H x W, already transformed)."""
-    if head == "lesion":
-        weights, n_classes = net.lesion_w.data, net.P
-    elif head == "location":
-        weights, n_classes = net.location_w.data, net.Q
-    else:
+    if head not in ("lesion", "location"):
         raise BadConfig(f"head must be 'lesion' or 'location', got {head!r}")
-    if not 0 <= class_index < n_classes:
+    weights = getattr(net, f"{head}_w").data    # K x P or K x Q
+    if not 0 <= class_index < weights.shape[1]:
         raise BadClass(f"class index {class_index} out of range for {head} head")
     with T.no_grad():
         _, _, _, conv_maps = net.forward(np.asarray(image)[None])

@@ -36,8 +36,9 @@ from .errors import (
     MtlkitError,
 )
 from .network import DualHeadNet, NetConfig, load_checkpoint, save_checkpoint
+from .objective import TASKS
 from .optim import PlateauConfig
-from .training import TrainConfig, cross_validate, fold_metrics, train
+from .training import TrainConfig, _check_config, cross_validate, fold_metrics, train
 
 
 def _load_json(path):
@@ -80,6 +81,8 @@ def _sub_config(cls, d, section: str):
 
 # top-level config keys that the train and cv commands read themselves
 _CLI_KEYS = ("manifest", "val_fraction", "out_dir")
+# TrainConfig fields that train and cv also take as flags, overriding the file
+_OVERRIDES = {"seed": dict(type=int), "epochs": dict(type=int), "mode": dict(choices=tuple(TASKS))}
 
 
 def train_config_from_dict(d: dict) -> TrainConfig:
@@ -95,19 +98,23 @@ def train_config_from_dict(d: dict) -> TrainConfig:
     net = _sub_config(NetConfig, d.pop("net", {}), "net")
     plateau = _sub_config(PlateauConfig, d.pop("plateau", {}), "plateau")
     augment = _sub_config(AugmentConfig, d.pop("augment", {}), "augment")
+    if augment.channel_means is not None:
+        raise BadConfig(f"augment.channel_means is fitted by training and cannot be set, "
+                        f"got {augment.channel_means!r}")
     _check_types(TrainConfig, d)
     return TrainConfig(net=net, plateau=plateau, augment=augment, **d)
 
 
 def _run_config(args):
-    """The raw config file and its TrainConfig with --seed/--epochs/--mode applied."""
+    """The raw config file and its checked TrainConfig with the _OVERRIDES flags
+    applied, so a bad value fails before train creates its output directory."""
     raw = _load_json(args.config)
     cfg = train_config_from_dict(raw)
     if not isinstance(raw.get("manifest"), str):
         raise BadConfig(f"manifest must be a path string, got {raw.get('manifest')!r}")
-    overrides = {k: getattr(args, k) for k in ("seed", "epochs", "mode")
-                 if getattr(args, k) is not None}
-    return raw, replace(cfg, **overrides)
+    cfg = replace(cfg, **{k: getattr(args, k) for k in _OVERRIDES if getattr(args, k) is not None})
+    _check_config(cfg)
+    return raw, cfg
 
 
 def _load_model(checkpoint, manifest):
@@ -195,7 +202,7 @@ def cmd_train(args):
         for record in log:
             f.write(json.dumps(record, sort_keys=True) + "\n")
     with open(os.path.join(out_dir, "config.json"), "w") as f:
-        cfg_dict = {**raw, "mode": cfg.mode, "epochs": cfg.epochs, "seed": cfg.seed}
+        cfg_dict = {**raw, **{k: getattr(cfg, k) for k in _OVERRIDES}}
         json.dump(cfg_dict, f, indent=2, sort_keys=True)
     print(out_dir)
     return 0
@@ -205,8 +212,7 @@ def cmd_eval(args):
     net, aug, ds = _load_model(args.checkpoint, args.manifest)
     report, les_sm, loc_sm = fold_metrics(net, ds.samples, aug,
                                           TrainConfig(use_ten_crop=args.ten_crop))
-    report["per_class_ap"] = dict(zip(ds.lesion_names, report["per_class_ap"]))
-    report["excluded_classes"] = [ds.lesion_names[i] for i in report["excluded_classes"]]
+    _name_lesion_classes(report, ds.lesion_names)
     report["ten_crop"] = bool(args.ten_crop)
     if args.scores_out:
         metrics.write_scores(args.scores_out + "_lesion.csv", les_sm, ds.lesion_names)
@@ -232,18 +238,13 @@ def cmd_ensemble(args):
     if unlabelled:
         raise MatrixMismatch(f"{len(unlabelled)} score id(s) absent from {args.labels}, "
                              f"first {unlabelled[0]!r}")
+    samples = [by_id[i] for i in combined.ids]
     report = {"method": args.method, "kind": args.kind}
     if args.kind == "lesion":
-        u = np.stack([by_id[i].u for i in combined.ids])
-        m_class, per_class, excluded = metrics.map_class(combined, u)
-        m_image, _ = metrics.map_image(combined, u)
-        report.update(map_class=m_class, map_image=m_image,
-                      per_class_ap={n: ap for n, ap in zip(names_a, per_class)},
-                      excluded_classes=[names_a[i] for i in excluded])
+        report.update(metrics.lesion_report(combined, np.stack([s.u for s in samples])))
+        _name_lesion_classes(report, names)
     else:
-        v = np.array([by_id[i].v for i in combined.ids])
-        report.update(top1=metrics.top_k_accuracy(combined, v, 1),
-                      top3=metrics.top_k_accuracy(combined, v, min(3, combined.scores.shape[1])))
+        report.update(metrics.location_report(combined, np.array([s.v for s in samples])))
     _emit_report(report, args.report_out)
     return 0
 
@@ -299,6 +300,12 @@ def cmd_attention(args):
     return 0
 
 
+def _name_lesion_classes(report, names):
+    """Key a lesion report's per_class_ap, and list its excluded_classes, by class name."""
+    report["per_class_ap"] = dict(zip(names, report["per_class_ap"]))
+    report["excluded_classes"] = [names[i] for i in report["excluded_classes"]]
+
+
 def _emit_report(report, path):
     text = json.dumps(report, indent=2, sort_keys=True)
     if path:
@@ -316,6 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mtlkit",
                                 description="Dual-task lesion/location training toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    overrides = argparse.ArgumentParser(add_help=False)
+    for name, kwargs in _OVERRIDES.items():
+        overrides.add_argument(f"--{name}", default=None, **kwargs)
 
     s = sub.add_parser("synth", help="generate a synthetic correlated-label dataset")
     s.add_argument("spec", help="JSON spec file (P, Q, N, R or correlation_strength, ...)")
@@ -323,12 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=None)
     s.set_defaults(func=cmd_synth)
 
-    s = sub.add_parser("train", help="train a model from a JSON config")
+    s = sub.add_parser("train", parents=[overrides], help="train a model from a JSON config")
     s.add_argument("config")
     s.add_argument("--out-dir", default=None)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--epochs", type=int, default=None)
-    s.add_argument("--mode", choices=("mtl", "lesion_only", "location_only"), default=None)
     s.set_defaults(func=cmd_train)
 
     s = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
@@ -348,11 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--report-out", default=None)
     s.set_defaults(func=cmd_ensemble)
 
-    s = sub.add_parser("cv", help="k-fold cross-validation")
+    s = sub.add_parser("cv", parents=[overrides], help="k-fold cross-validation")
     s.add_argument("config")
-    s.add_argument("--mode", choices=("mtl", "lesion_only", "location_only"), default=None)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--epochs", type=int, default=None)
     s.add_argument("--report-out", default=None)
     s.set_defaults(func=cmd_cv)
 

@@ -106,6 +106,19 @@ def top_k_accuracy(s: ScoreMatrix, v, k: int) -> float:
     return hits / n
 
 
+def lesion_report(s: ScoreMatrix, u) -> dict:
+    """map_class, map_image, per_class_ap and excluded_classes (indices)."""
+    m_class, per_class, excluded = map_class(s, u)
+    return {"map_class": m_class, "map_image": map_image(s, u)[0],
+            "per_class_ap": per_class, "excluded_classes": excluded}
+
+
+def location_report(s: ScoreMatrix, v) -> dict:
+    """top1, and top3 (top-Q when there are fewer than 3 locations)."""
+    return {"top1": top_k_accuracy(s, v, 1),
+            "top3": top_k_accuracy(s, v, min(3, s.scores.shape[1]))}
+
+
 def correlation_matrix(ds) -> CorrelationMatrix:
     """Fraction of lesion-i images that carry location j."""
     p, q = ds.P, ds.Q

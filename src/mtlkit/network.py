@@ -91,13 +91,9 @@ class DualHeadNet:
     def feature_dim(self) -> int:
         return self.config.width
 
-    def parameters(self, heads: str = "both") -> list[Param]:
-        """Named parameters with learning-rate multipliers.
-
-        heads: "both", "lesion", or "location" — selects which head(s)
-        are included alongside the trunk.
-        """
-        cfg = self.config
+    def parameters(self, tasks=("lesion", "location")) -> list[Param]:
+        """Named parameters with learning-rate multipliers: the trunk, then
+        the head of each task in tasks (objective.TASKS[mode] for a mode)."""
         ps = [Param("conv1_w", self.conv1_w), Param("conv1_b", self.conv1_b)]
         for i, (w1, b1, w2, b2) in enumerate(self.blocks):
             ps += [
@@ -106,18 +102,9 @@ class DualHeadNet:
                 Param(f"block{i}_w2", w2),
                 Param(f"block{i}_b2", b2),
             ]
-        if heads in ("both", "lesion"):
-            ps += [
-                Param("lesion_w", self.lesion_w, cfg.head_w_mult),
-                Param("lesion_b", self.lesion_b, cfg.head_b_mult),
-            ]
-        if heads in ("both", "location"):
-            ps += [
-                Param("location_w", self.location_w, cfg.head_w_mult),
-                Param("location_b", self.location_b, cfg.head_b_mult),
-            ]
-        if heads not in ("both", "lesion", "location"):
-            raise BadConfig(f"unknown head selector {heads!r}")
+        for task in tasks:
+            ps += [Param(f"{task}_w", getattr(self, f"{task}_w"), self.config.head_w_mult),
+                   Param(f"{task}_b", getattr(self, f"{task}_b"), self.config.head_b_mult)]
         return ps
 
     def forward(self, batch):

@@ -18,6 +18,9 @@ from . import tensor as T
 from .errors import BadConfig, BadLabel
 from .tensor import Tensor, _result
 
+# mode -> the tasks it trains, main task first
+TASKS = {"mtl": ("lesion", "location"), "lesion_only": ("lesion",), "location_only": ("location",)}
+
 
 @dataclass
 class LossBreakdown:
@@ -94,17 +97,18 @@ def joint_loss(lesion_logits: Tensor, location_logits: Tensor, u, v,
                mode: str = "mtl", aux_weight: float = 1.0):
     """The training objective of one mode; returns (LossBreakdown, loss node).
 
-    mtl optimises lesion + aux_weight * location loss; each single-task mode
-    optimises its own loss and leaves the other head's field None.
+    It builds the loss of each task in TASKS[mode]: mtl optimises lesion +
+    aux_weight * location loss, a single-task mode its own loss (the other
+    field None).
     """
-    if mode not in ("mtl", "lesion_only", "location_only"):
+    if mode not in TASKS:
         raise BadConfig(f"unknown objective mode {mode!r}")
-    les = lesion_loss(lesion_logits, u) if mode != "location_only" else None
-    loc = location_loss(location_logits, v) if mode != "lesion_only" else None
-    if mode == "mtl":
-        node = T.add(les, loc) if aux_weight == 1.0 else T.add(les, T.scale(loc, aux_weight))
-    else:
+    les = lesion_loss(lesion_logits, u) if "lesion" in TASKS[mode] else None
+    loc = location_loss(location_logits, v) if "location" in TASKS[mode] else None
+    if les is None or loc is None:
         node = les if loc is None else loc
+    else:
+        node = T.add(les, loc) if aux_weight == 1.0 else T.add(les, T.scale(loc, aux_weight))
     breakdown = LossBreakdown(
         lesion_loss=None if les is None else float(les.data),
         location_loss=None if loc is None else float(loc.data),

@@ -20,9 +20,6 @@ from .network import DualHeadNet, NetConfig
 from .optim import SGD, PlateauConfig
 from .tensor import Tensor, backward
 
-# mode -> the heads it trains (the DualHeadNet.parameters selector)
-MODES = {"mtl": "both", "lesion_only": "lesion", "location_only": "location"}
-
 
 @dataclass
 class TrainConfig:
@@ -43,11 +40,13 @@ class TrainConfig:
 
 
 def _check_config(cfg):
-    if cfg.mode not in MODES:
-        raise BadConfig(f"mode must be one of {tuple(MODES)}, got {cfg.mode!r}")
-    if cfg.weight_decay < 0 or cfg.lr <= 0 or cfg.batch_size < 1:
-        raise BadConfig(f"need weight_decay >= 0, lr > 0 and batch_size >= 1; got "
-                        f"{cfg.weight_decay}, {cfg.lr} and {cfg.batch_size}")
+    if cfg.mode not in objective.TASKS:
+        raise BadConfig(f"mode must be one of {tuple(objective.TASKS)}, got {cfg.mode!r}")
+    if (cfg.weight_decay < 0 or cfg.lr <= 0 or cfg.batch_size < 1 or cfg.epochs < 0
+            or cfg.pretrain_epochs < 0):
+        raise BadConfig(f"need weight_decay >= 0, lr > 0, batch_size >= 1, epochs >= 0 and "
+                        f"pretrain_epochs >= 0; got {cfg.weight_decay}, {cfg.lr}, "
+                        f"{cfg.batch_size}, {cfg.epochs} and {cfg.pretrain_epochs}")
 
 
 def _train_epoch(net, samples, rng, aug, opt, cfg, epoch):
@@ -116,7 +115,8 @@ def train(net: DualHeadNet, train_samples, val_samples, cfg: TrainConfig, on_epo
     rng = np.random.default_rng(cfg.seed)
     aug = replace(cfg.augment,
                   channel_means=tuple(float(m) for m in channel_means(train_samples)))
-    opt = SGD(net.parameters(MODES[cfg.mode]), lr=cfg.lr, momentum=cfg.momentum,
+    tasks = objective.TASKS[cfg.mode]
+    opt = SGD(net.parameters(tasks), lr=cfg.lr, momentum=cfg.momentum,
               weight_decay=cfg.weight_decay, plateau=cfg.plateau)
     log = []
 
@@ -125,10 +125,11 @@ def train(net: DualHeadNet, train_samples, val_samples, cfg: TrainConfig, on_epo
         u_val = np.stack([s.u for s in val_samples])
         v_val = np.array([s.v for s in val_samples])
 
-    if cfg.pretrain_epochs > 0 and cfg.mode == "mtl":
+    # a multi-task run first warms up on its auxiliary task alone
+    if cfg.pretrain_epochs > 0 and len(tasks) > 1:
         warm_cfg = replace(cfg, mode="location_only")
-        warm_opt = SGD(net.parameters("location"), lr=cfg.lr, momentum=cfg.momentum,
-                       weight_decay=cfg.weight_decay, plateau=cfg.plateau)
+        warm_opt = SGD(net.parameters(objective.TASKS[warm_cfg.mode]), lr=cfg.lr,
+                       momentum=cfg.momentum, weight_decay=cfg.weight_decay, plateau=cfg.plateau)
         for i in range(cfg.pretrain_epochs):
             _train_epoch(net, train_samples, rng, aug, warm_opt, warm_cfg, f"pretrain epoch {i}")
 
@@ -140,13 +141,13 @@ def train(net: DualHeadNet, train_samples, val_samples, cfg: TrainConfig, on_epo
         if val_samples:
             les, loc, _ = net.infer(val_imgs, cfg.batch_size)
             bd, _ = objective.joint_loss(Tensor(les), Tensor(loc), u_val, v_val, cfg.mode)
-            val_loss = bd.location_loss if cfg.mode == "location_only" else bd.lesion_loss
+            val_loss = getattr(bd, f"{tasks[0]}_loss")
             record["val_loss"] = val_loss
             les_sm, loc_sm = _score_matrices([s.id for s in val_samples],
                                              objective.sigmoid(les), objective.softmax(loc))
-            if cfg.mode != "location_only":
+            if "lesion" in tasks:
                 record["val_map_image"] = metrics.map_image(les_sm, u_val)[0]
-            if cfg.mode != "lesion_only":
+            if "location" in tasks:
                 record["val_top1"] = metrics.top_k_accuracy(loc_sm, v_val, 1)
             record["lr"] = opt.plateau_update(val_loss)
         else:
@@ -158,22 +159,15 @@ def train(net: DualHeadNet, train_samples, val_samples, cfg: TrainConfig, on_epo
 
 
 def fold_metrics(net, test_samples, aug, cfg: TrainConfig):
-    """Evaluation report for one held-out sample set."""
+    """Evaluation report for one held-out sample set: the metrics of each
+    task cfg.mode trains, and both ScoreMatrices."""
     les_sm, loc_sm = evaluate_scores(net, test_samples, aug, cfg.batch_size,
                                      use_ten_crop=cfg.use_ten_crop)
-    u = np.stack([s.u for s in test_samples])
-    v = np.array([s.v for s in test_samples])
     report = {}
-    if cfg.mode != "location_only":
-        m_class, per_class, excluded = metrics.map_class(les_sm, u)
-        m_image, _ = metrics.map_image(les_sm, u)
-        report["map_class"] = m_class
-        report["map_image"] = m_image
-        report["per_class_ap"] = per_class
-        report["excluded_classes"] = excluded
-    if cfg.mode != "lesion_only":
-        report["top1"] = metrics.top_k_accuracy(loc_sm, v, 1)
-        report["top3"] = metrics.top_k_accuracy(loc_sm, v, min(3, loc_sm.scores.shape[1]))
+    if "lesion" in objective.TASKS[cfg.mode]:
+        report.update(metrics.lesion_report(les_sm, np.stack([s.u for s in test_samples])))
+    if "location" in objective.TASKS[cfg.mode]:
+        report.update(metrics.location_report(loc_sm, np.array([s.v for s in test_samples])))
     return report, les_sm, loc_sm
 
 
@@ -186,11 +180,14 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _fit_folds(ds, cfg, folds):
-    """Train each fold's net in turn; returns {fold: (parameter arrays, fitted
-    AugmentConfig) or the fold's exception}, stopping at the first failure."""
+def _fit_folds(ds, cfg, folds, stop=lambda f: False):
+    """Train each fold's net in turn until stop(fold) is true; returns {fold:
+    (parameter arrays, fitted AugmentConfig)}, or {fold: exception} alone for
+    the first fold that fails, so a failing child's result fits in its pipe."""
     fitted = {}
     for f in folds:
+        if stop(f):
+            break
         try:
             fold_cfg = replace(cfg, seed=cfg.seed + f)
             net = DualHeadNet(cfg.net, ds.P, ds.Q, seed=fold_cfg.seed)
@@ -198,8 +195,7 @@ def _fit_folds(ds, cfg, folds):
             _, _, aug = train(net, train_samples, None, fold_cfg)
             fitted[f] = ([p.tensor.data for p in net.parameters()], aug)
         except Exception as e:
-            fitted[f] = e
-            break
+            return {f: e}
     return fitted
 
 
@@ -226,6 +222,25 @@ def _child_result(data, code, folds):
                                  f"{', '.join(map(str, folds))} ended without a result ({how})")}
 
 
+def _reap(children, fitted, wait=lambda folds: False):
+    """Move into fitted the result of each child that has exited, or whose
+    folds ``wait`` accepts, and reap it; a reaped child leaves children at
+    once, so the cleanup never signals its pid."""
+    for pid, (pipe, folds) in list(children.items()):
+        if wait(folds):
+            data = pipe.read()   # first: the child blocks until its result is read
+            status = os.waitpid(pid, 0)[1]
+        else:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if not done:
+                continue
+            data = b""           # an exited child's whole result waits in its pipe
+        del children[pid]
+        with pipe:
+            data += pipe.read()
+        fitted.update(_child_result(data, os.waitstatus_to_exitcode(status), folds))
+
+
 def cross_validate(ds: Dataset, cfg: TrainConfig):
     """K-fold cross-validation; per-fold seeds are cfg.seed + fold index.
 
@@ -236,13 +251,24 @@ def cross_validate(ds: Dataset, cfg: TrainConfig):
     AugmentConfigs. This process scores every fold in fold order, so the
     report equals the serial one bit for bit, and a failure raises the
     lowest-numbered failing fold's exception, as the serial loop would.
+    Before each fold of its own this process collects the children that
+    have exited, and it stops once a lower fold is known to have failed.
     """
     _check_config(cfg)
     if ds.folds is None:
         ds = assign_folds(ds, cfg.n_folds, cfg.seed)
     fold_ids = sorted(set(int(f) for f in ds.folds))
     n = min(len(fold_ids), _usable_cpus())
+    fitted = {}     # fold -> (parameter arrays, fitted AugmentConfig) or its exception
     children = {}   # pid -> (read end of its pipe, its folds), until reaped
+
+    def failed_below(fold):
+        return any(isinstance(r, Exception) and f < fold for f, r in fitted.items())
+
+    def stop(fold):
+        _reap(children, fitted)
+        return failed_below(fold)
+
     try:
         for rank in range(1, n):
             r, w = os.pipe()
@@ -251,15 +277,9 @@ def cross_validate(ds: Dataset, cfg: TrainConfig):
                 _fit_in_child(w, ds, cfg, fold_ids[rank::n])
             os.close(w)
             children[pid] = (os.fdopen(r, "rb"), fold_ids[rank::n])
-        fitted = _fit_folds(ds, cfg, fold_ids[::n])
-        # no fold precedes the first, so its failure needs no child's result
-        if not isinstance(fitted[fold_ids[0]], Exception):
-            for pid, (pipe, folds) in list(children.items()):
-                with pipe:
-                    data = pipe.read()
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[pid]
-                fitted.update(_child_result(data, code, folds))
+        fitted.update(_fit_folds(ds, cfg, fold_ids[::n], stop))
+        # a child whose first fold follows a known failure cannot change the outcome
+        _reap(children, fitted, wait=lambda folds: not failed_below(folds[0]))
         failed = [f for f in fold_ids if isinstance(fitted.get(f), Exception)]
         if failed:
             raise fitted[failed[0]]

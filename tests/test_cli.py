@@ -148,8 +148,10 @@ class TestEnsemble:
                      "--report-out", str(report_path)]) == 0
         ens = json.loads(report_path.read_text())
         solo = json.loads((tmp_path / "r.json").read_text())
-        # max-ensembling a model with itself changes nothing
-        assert ens["map_class"] == pytest.approx(solo["map_class"], abs=1e-12)
+        # max-ensembling a model with itself changes nothing, and both
+        # commands build the lesion report the same way
+        keys = ("map_class", "map_image", "per_class_ap", "excluded_classes")
+        assert {k: ens[k] for k in keys} == {k: solo[k] for k in keys}
 
     def test_location_kind(self, workspace, tmp_path):
         prefix = str(tmp_path / "s")
@@ -159,7 +161,9 @@ class TestEnsemble:
         assert main(["ensemble", prefix + "_location.csv", prefix + "_location.csv",
                      "--labels", workspace["manifest"], "--kind", "location",
                      "--method", "mean", "--report-out", str(report_path)]) == 0
-        assert "top1" in json.loads(report_path.read_text())
+        ens = json.loads(report_path.read_text())
+        solo = json.loads((tmp_path / "r.json").read_text())
+        assert {k: ens[k] for k in ("top1", "top3")} == {k: solo[k] for k in ("top1", "top3")}
 
 
 def test_cv_command(workspace, tmp_path):
@@ -326,12 +330,32 @@ def test_wrongly_typed_config_value_is_bad_config(workspace, tmp_path, capsys, k
 @pytest.mark.parametrize("section, key, value", [
     ("net", "width", "8"), ("net", "head_w_mult", None), ("plateau", "patience", 1.5),
     ("augment", "crop", 8.0), ("augment", "flip_prob", False),
+    ("augment", "channel_means", "garbage"),
 ])
 def test_wrongly_typed_nested_value_is_bad_config(workspace, tmp_path, capsys, section, key,
                                                   value):
     line = _run_bad_config(workspace, tmp_path, capsys,
                            lambda raw: raw.setdefault(section, {}).update({key: value}))
     assert f"{section}.{key}" in line
+
+
+@pytest.mark.parametrize("key, value", [("weight_decay", -1.0), ("epochs", -3),
+                                        ("pretrain_epochs", -1)])
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_out_of_range_config_value_fails_before_any_output(workspace, tmp_path, capsys, key,
+                                                           value, command):
+    line = _run_bad_config(workspace, tmp_path, capsys, lambda raw: raw.update({key: value}),
+                           command)
+    assert f"{key} >= 0" in line and str(value) in line
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_negative_epochs_flag_fails_before_any_output(workspace, tmp_path, capsys, command):
+    capsys.readouterr()
+    out = ["--out-dir", str(tmp_path / "run")] if command == "train" else []
+    assert main([command, workspace["cfg_path"], *out, "--epochs", "-3"]) == 1
+    assert not (tmp_path / "run").exists()
+    assert "-3" in _single_error(capsys, "BadConfig")
 
 
 def test_non_object_config_is_bad_config(tmp_path, capsys):

@@ -7,7 +7,7 @@ from mtlkit import network
 from mtlkit import tensor as T
 from mtlkit.errors import BadConfig, CheckpointError, ShapeMismatch
 from mtlkit.network import DualHeadNet, NetConfig, load_checkpoint, save_checkpoint
-from mtlkit.objective import joint_loss
+from mtlkit.objective import TASKS, joint_loss
 
 
 def small_net(P=3, Q=4, seed=0, **kw):
@@ -31,6 +31,27 @@ def test_full_scale_head_shapes():
 def test_param_shapes_match_the_built_net(config):
     net = DualHeadNet(config, P=4, Q=6, seed=0)
     assert network._param_shapes(config, 4, 6) == [p.tensor.shape for p in net.parameters()]
+
+
+@pytest.mark.parametrize("mode, heads", [
+    ("mtl", ["lesion_w", "lesion_b", "location_w", "location_b"]),
+    ("lesion_only", ["lesion_w", "lesion_b"]),
+    ("location_only", ["location_w", "location_b"]),
+])
+def test_parameters_of_each_mode(mode, heads):
+    net = DualHeadNet(NetConfig(width=4, blocks=2, head_w_mult=3.0, head_b_mult=7.0), 3, 4, 0)
+    trunk = ["conv1_w", "conv1_b"] + [f"block{i}_{n}" for i in range(2)
+                                      for n in ("w1", "b1", "w2", "b2")]
+    params = net.parameters(TASKS[mode])
+    assert [p.name for p in params] == trunk + heads
+    assert [p.lr_mult for p in params] == [1.0] * len(trunk) + [3.0, 7.0] * (len(heads) // 2)
+    for p in params[len(trunk):]:
+        assert p.tensor is getattr(net, p.name)
+    # with no argument: the trunk and both heads, lesion first
+    assert [(p.name, p.tensor, p.lr_mult) for p in net.parameters()] == [
+        (p.name, p.tensor, p.lr_mult) for p in net.parameters(TASKS["mtl"])]
+    assert [p.name for p in net.parameters()] == trunk + ["lesion_w", "lesion_b",
+                                                         "location_w", "location_b"]
 
 
 def test_single_location_rejected():

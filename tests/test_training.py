@@ -207,7 +207,8 @@ class TestObjectiveAndValidation:
 class TestConfigAndEmptyInputs:
     @pytest.mark.parametrize("mode", ["mtl", "lesion_only", "location_only"])
     @pytest.mark.parametrize("bad", [dict(weight_decay=-1e-4), dict(lr=0.0), dict(lr=-0.1),
-                                     dict(batch_size=0)])
+                                     dict(batch_size=0), dict(epochs=-3),
+                                     dict(pretrain_epochs=-1)])
     def test_bad_values_rejected_in_every_mode(self, mode, bad):
         ds = tiny_dataset(9)
         cfg = tiny_config(mode=mode, **bad)
@@ -417,6 +418,28 @@ class TestParallelFolds:
             cross_validate(ds, tiny_config(epochs=1, n_folds=4))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_caller_stops_once_a_lower_child_fold_has_failed(self, monkeypatch):
+        from mtlkit import training
+
+        # at two processes the caller trains folds 0, 2 and 4, a child folds 1 and 3
+        parent, real, trained = os.getpid(), training.train, []
+
+        def train(net, train_samples, val_samples, cfg, on_epoch=None):
+            if os.getpid() != parent and cfg.seed == 1:
+                raise NonFiniteLoss("fold 1")
+            if os.getpid() == parent:
+                trained.append(cfg.seed)
+                if cfg.seed == 0:   # end fold 0 only once the child has exited
+                    os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            return real(net, train_samples, val_samples, cfg, on_epoch)
+
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(training, "train", train)
+        ds = assign_folds(tiny_dataset(20), 5, seed=0)
+        with pytest.raises(NonFiniteLoss, match="^fold 1$"):
+            cross_validate(ds, tiny_config(epochs=1, n_folds=5))
+        assert trained == [0]
 
     @pytest.mark.parametrize("folds", [2, 5])
     def test_child_ending_without_a_result_is_worker_died(self, monkeypatch, folds):
