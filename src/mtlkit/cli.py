@@ -193,8 +193,9 @@ def cmd_train(args):
                              "mode": cfg.mode, "augment": asdict(aug)})
 
     log, opt, aug = train(net, train_samples, val_samples, cfg, on_epoch=on_epoch)
-    state = {"optimizer": opt.state(), "epoch": cfg.epochs - 1, "mode": cfg.mode,
-             "augment": asdict(aug)}
+    # the last main epoch that ran; None when only the warm-up (or nothing) ran
+    state = {"optimizer": opt.state(), "epoch": log[-1]["epoch"] if log else None,
+             "mode": cfg.mode, "augment": asdict(aug)}
     save_checkpoint(os.path.join(out_dir, "final.ckpt"), net, opt.buffers, state)
     if best["val_loss"] is None:
         save_checkpoint(best_path, net, opt.buffers, state)

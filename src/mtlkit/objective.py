@@ -3,9 +3,11 @@ weighted softmax cross-entropy for body locations.
 
 Both losses are batch means over numerically stable closed forms:
 log sigmoid(s) = -softplus(-s) and log softmax(t)_v = t_v - logsumexp(t),
-so logits up to |1e4| stay finite. Location labels are 1-based
-(v in {1..Q}), matching the dataset contract. Weight decay is not part of
-the objective: the optimizer applies it as wd * theta.
+so logits up to |1e4| stay finite. Each loss computes its value in float64
+whatever the logits' dtype and returns its gradient in the logits' dtype,
+so a float32 forward stays float32 through backward. Location labels are
+1-based (v in {1..Q}), matching the dataset contract. Weight decay is not
+part of the objective: the optimizer applies it as wd * theta.
 """
 
 from __future__ import annotations
@@ -59,21 +61,22 @@ def lesion_loss(lesion_logits: Tensor, u) -> Tensor:
         raise BadLabel(f"label shape {u.shape} does not match logits {lesion_logits.shape}")
     if not np.isin(u, (0.0, 1.0)).all():
         raise BadLabel("lesion labels must be binary")
-    s = lesion_logits.data
+    s = lesion_logits.data.astype(np.float64, copy=False)
     bsz = s.shape[0]
     # -[u log a + (1-u) log(1-a)] = u*softplus(-s) + (1-u)*softplus(s)
     per_elem = u * _softplus(-s) + (1.0 - u) * _softplus(s)
     value = per_elem.sum() / bsz
 
     def bwd(g):
-        return (float(g) * (sigmoid(s) - u) / bsz,)
+        grad = float(g) * (sigmoid(s) - u) / bsz
+        return (grad.astype(lesion_logits.data.dtype, copy=False),)
 
     return _result(np.float64(value), (lesion_logits,), bwd)
 
 
 def location_loss(location_logits: Tensor, v) -> Tensor:
     """Batch-mean softmax cross-entropy; v holds 1-based class indices."""
-    t = location_logits.data
+    t = location_logits.data.astype(np.float64, copy=False)
     bsz, q = t.shape
     v = np.asarray(v)
     if v.shape != (bsz,):
@@ -88,9 +91,17 @@ def location_loss(location_logits: Tensor, v) -> Tensor:
     def bwd(g):
         grad = softmax(t)
         grad[np.arange(bsz), idx] -= 1.0
-        return (float(g) * grad / bsz,)
+        grad = float(g) * grad / bsz
+        return (grad.astype(location_logits.data.dtype, copy=False),)
 
     return _result(np.float64(value), (location_logits,), bwd)
+
+
+def task_loss(task: str, lesion_logits: Tensor, location_logits: Tensor, u, v) -> Tensor:
+    """The loss node of one task of TASKS: lesion_loss or location_loss."""
+    if task == "lesion":
+        return lesion_loss(lesion_logits, u)
+    return location_loss(location_logits, v)
 
 
 def joint_loss(lesion_logits: Tensor, location_logits: Tensor, u, v,
@@ -103,8 +114,8 @@ def joint_loss(lesion_logits: Tensor, location_logits: Tensor, u, v,
     """
     if mode not in TASKS:
         raise BadConfig(f"unknown objective mode {mode!r}")
-    les = lesion_loss(lesion_logits, u) if "lesion" in TASKS[mode] else None
-    loc = location_loss(location_logits, v) if "location" in TASKS[mode] else None
+    nodes = {t: task_loss(t, lesion_logits, location_logits, u, v) for t in TASKS[mode]}
+    les, loc = nodes.get("lesion"), nodes.get("location")
     if les is None or loc is None:
         node = les if loc is None else loc
     else:

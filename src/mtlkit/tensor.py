@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32/float64 tensors with reverse-mode automatic differentiation.
 
 Just enough machinery for a small convolutional dual-head network: the op
 set is matmul, conv2d (which adds its per-channel bias), maxpool2d,
@@ -18,8 +18,16 @@ Inference contract: ops inside ``with no_grad():`` return results with no
 parents, no backward rule and requires_grad False, so no im2col matrix, padded
 input or mask outlives its op; exiting, even by raising, restores the prior mode.
 
+Precision contract: a Tensor holds float32 data as float32 and widens
+anything else to float64. Each op computes in the dtype of its activation
+input, casting its parameter operands (the w and b of conv2d, matmul and
+bias_add) to it for the call; the scalar reductions return a float64 value.
+Every backward rule returns each gradient in its parent's dtype, so a
+float32 batch runs forward and backward in float32 while float64 leaves
+still receive float64 ``.grad``.
+
 Conventions fixed for determinism:
-  * everything is float64, row-major;
+  * arrays are row-major;
   * relu's subgradient at exactly 0 is 0;
   * maxpool ties go to the first element of the window in row-major
     order (window element n = i*k + j, the lowest n wins), and the
@@ -49,12 +57,13 @@ from .errors import NonScalarRoot, ShapeMismatch
 _grad_enabled = True  # False inside no_grad()
 
 class Tensor:
-    """A dense float64 array plus, on a leaf, a gradient that may be shared."""
+    """A dense float32 or float64 array plus, on a leaf, a gradient that may be shared."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -184,7 +193,7 @@ def flatten(x: Tensor) -> Tensor:
 
 def tsum(x: Tensor) -> Tensor:
     def bwd(g):
-        return (np.full(x.shape, float(g)),)
+        return (np.full(x.shape, float(g), x.data.dtype),)
 
     return _result(np.float64(x.data.sum()), (x,), bwd)
 
@@ -204,10 +213,12 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"({x.shape[0]}, K) @ (K, n)", (x.shape, w.shape), "matmul")
 
-    def bwd(g):
-        return g @ w.data.T, x.data.T @ g
+    wc = w.data.astype(x.data.dtype, copy=False)
 
-    return _result(x.data @ w.data, (x, w), bwd)
+    def bwd(g):
+        return g @ wc.T, (x.data.T @ g).astype(w.data.dtype, copy=False)
+
+    return _result(x.data @ wc, (x, w), bwd)
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
@@ -216,9 +227,9 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch("(B, n) input and (n,) bias", (x.shape, b.shape), "bias_add")
 
     def bwd(g):
-        return g, g.sum(axis=0)
+        return g, g.sum(axis=0).astype(b.data.dtype, copy=False)
 
-    return _result(x.data + b.data, (x, b), bwd)
+    return _result(x.data + b.data.astype(x.data.dtype, copy=False), (x, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +241,7 @@ def _im2col(xp, kh, kw, stride, ho, wo, off=0):
     c*kh*kw + i*kw + j, column r*Wo + s holds xp[:, c, off + i + stride*r,
     off + j + stride*s], tap (i, j) of channel c at output pixel (r, s)."""
     bsz, c = xp.shape[:2]
-    cols = np.empty((bsz, c, kh, kw, ho, wo))
+    cols = np.empty((bsz, c, kh, kw, ho, wo), xp.dtype)
     for i in range(kh):
         for j in range(kw):
             y, x = off + i, off + j
@@ -255,27 +266,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     if padding:
-        xp = np.zeros((bsz, cin, hp, wp))
+        xp = np.zeros((bsz, cin, hp, wp), x.data.dtype)
         xp[:, :, padding : padding + h, padding : padding + wd] = x.data
     else:
         xp = x.data
 
     cols = _im2col(xp, kh, kw, stride, ho, wo)  # cached for the weight gradient
-    wmat = w.data.reshape(cout, -1)
-    out = np.matmul(wmat, cols)
-    out += b.data[:, None]
+    wc = w.data.astype(x.data.dtype, copy=False)
+    out = np.matmul(wc.reshape(cout, -1), cols)
+    out += b.data.astype(x.data.dtype, copy=False)[:, None]
 
     def bwd(g):
         g3 = g.reshape(bsz, cout, ho * wo)
         gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        gb = g.sum(axis=(0, 2, 3))
+        gw = gw.astype(w.data.dtype, copy=False)
+        gb = g.sum(axis=(0, 2, 3)).astype(b.data.dtype, copy=False)
         if not x.requires_grad:
             return None, gw, gb
         # the input gradient: see Layout in the module docstring
-        gd = np.zeros((bsz, cout, hp + kh - 1, wp + kw - 1))
+        gd = np.zeros((bsz, cout, hp + kh - 1, wp + kw - 1), x.data.dtype)
         gd[:, :, kh - 1 : kh - 1 + stride * ho : stride,
            kw - 1 : kw - 1 + stride * wo : stride] = g
-        wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        wflip = wc[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
         gcols = _im2col(gd, kh, kw, 1, h, wd, off=padding)
         return np.matmul(wflip, gcols).reshape(bsz, cin, h, wd), gw, gb
 
@@ -307,7 +319,7 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
     out = flat[idx.reshape(-1), np.arange(flat.shape[1])].reshape(top.shape)
 
     def bwd(g):
-        gx = np.empty((bsz, c, ho, k, wo, k))
+        gx = np.empty((bsz, c, ho, k, wo, k), x.data.dtype)
         for n in range(k * k):
             gx[:, :, :, n // k, :, n % k] = np.where(idx == n, g, 0.0)
         return (gx.reshape(bsz, c, h, wd),)

@@ -57,7 +57,8 @@ def _train_epoch(net, samples, rng, aug, opt, cfg, epoch):
     sums = {}
     for step, start in enumerate(range(0, len(samples), cfg.batch_size)):
         idx = order[start : start + cfg.batch_size]
-        imgs = np.stack([augment(samples[i], rng, aug) for i in idx])
+        # the one choice of training precision: float32 steps, float64 master weights
+        imgs = np.stack([augment(samples[i], rng, aug) for i in idx], dtype=np.float32)
         u = np.stack([samples[i].u for i in idx])
         v = np.array([samples[i].v for i in idx])
         les_logits, loc_logits, _, _ = net.forward(imgs)
@@ -140,8 +141,8 @@ def train(net: DualHeadNet, train_samples, val_samples, cfg: TrainConfig, on_epo
             float((p.tensor.data ** 2).sum()) for p in opt.params)
         if val_samples:
             les, loc, _ = net.infer(val_imgs, cfg.batch_size)
-            bd, _ = objective.joint_loss(Tensor(les), Tensor(loc), u_val, v_val, cfg.mode)
-            val_loss = getattr(bd, f"{tasks[0]}_loss")
+            val_loss = float(objective.task_loss(tasks[0], Tensor(les), Tensor(loc),
+                                                 u_val, v_val).data)
             record["val_loss"] = val_loss
             les_sm, loc_sm = _score_matrices([s.id for s in val_samples],
                                              objective.sigmoid(les), objective.softmax(loc))

@@ -208,7 +208,8 @@ def test_criterion_5_mtl_benefit(capsys):
     elapsed = time.time() - start
     with capsys.disabled():
         print(f"  mtl-benefit deltas: mean {mean_delta:+.4f}, "
-              f"{positives}/10 positive, {elapsed:.0f}s")
+              f"{positives}/10 positive, {elapsed:.0f}s; seeds 0-9: "
+              + ", ".join(f"{d:+.4f}" for d in deltas))
     _verdict(capsys, 5, "multi-task benefit",
              mean_delta > 0 and positives >= 8 and elapsed < 1200)
 

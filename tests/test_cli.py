@@ -107,6 +107,23 @@ class TestTrain:
         assert cfg["mode"] == "lesion_only"
 
 
+    @pytest.mark.parametrize("epochs, recorded", [(0, None), (2, 1)])
+    def test_checkpoint_epoch_is_the_last_main_epoch(self, workspace, tmp_path, epochs,
+                                                     recorded):
+        # the location-only warm-up is not a main epoch: with none run, epoch is null
+        from mtlkit.network import load_checkpoint
+
+        cfg_path = tmp_path / "warm.json"
+        cfg_path.write_text(json.dumps(dict(json.loads(open(workspace["cfg_path"]).read()),
+                                            pretrain_epochs=1)))
+        out = tmp_path / "run"
+        assert main(["train", str(cfg_path), "--out-dir", str(out),
+                     "--epochs", str(epochs)]) == 0
+        assert load_checkpoint(str(out / "final.ckpt"))[2]["epoch"] == recorded
+        if epochs == 0:  # no val_loss ever ran, so best.ckpt holds the final state
+            assert load_checkpoint(str(out / "best.ckpt"))[2]["epoch"] is None
+
+
 class TestEval:
     def test_report_and_scores(self, workspace, tmp_path):
         report_path = tmp_path / "report.json"

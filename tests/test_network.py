@@ -211,6 +211,45 @@ def test_forward_builds_eighteen_op_nodes(rng):
     assert len(ops) == 18
 
 
+class TestPrecision:
+    """A float32 batch runs forward and backward in float32; the float64
+    parameters still receive float64 gradients."""
+
+    U, V = np.array([[1, 0, 0], [0, 1, 1], [1, 1, 0]]), np.array([1, 3, 4])
+
+    def test_float32_batch_stays_float32(self, rng):
+        net = DualHeadNet(NetConfig(width=4, blocks=2), 3, 4, seed=2)
+        outs = net.forward(rng.normal(size=(3, 3, 8, 8)).astype(np.float32))
+        assert [o.data.dtype for o in outs] == [np.float32] * 4
+        _, node = joint_loss(outs[0], outs[1], self.U, self.V)
+        nodes = _graph(node)
+        # float64: the parameters, the two task losses and their sum; the rest float32
+        wide = {id(p.tensor) for p in net.parameters()} | {id(n) for n in (node, *node._parents)}
+        for n in nodes:
+            assert n.data.dtype == (np.float64 if id(n) in wide else np.float32)
+        rules = [n for n in nodes if n._backward is not None]
+        assert len(rules) == 21  # 18 forward ops, two task losses and their sum
+        for n in rules:
+            for parent, g in zip(n._parents, n._backward(np.ones_like(n.data))):
+                assert g is None or g.dtype == parent.data.dtype  # None: the batch's own
+        T.backward(node)
+        for p in net.parameters():
+            assert p.tensor.data.dtype == p.tensor.grad.dtype == np.float64, p.name
+
+    def test_float32_gradients_match_float64(self, rng):
+        # stated tolerance: 1e-5 of each parameter's largest gradient entry;
+        # the float32 forward and backward measured 1.4e-7 to 3.9e-7 on seeds 0-4
+        batch = rng.normal(size=(3, 3, 12, 12))
+        grads = []
+        for dtype in (np.float64, np.float32):
+            net = DualHeadNet(NetConfig(width=8, blocks=2), 3, 4, seed=5)
+            les, loc, _, _ = net.forward(batch.astype(dtype))
+            T.backward(joint_loss(les, loc, self.U, self.V)[1])
+            grads.append([p.tensor.grad for p in net.parameters()])
+        for g64, g32 in zip(*grads):
+            assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
+
+
 def test_forward_rejects_bad_channels(rng):
     with pytest.raises(ShapeMismatch):
         small_net().forward(rng.normal(size=(1, 2, 8, 8)))

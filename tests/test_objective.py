@@ -110,6 +110,19 @@ class TestLocationLoss:
         check_gradients(lambda: O.location_loss(logits, v), [logits])
 
 
+@pytest.mark.parametrize("loss, labels", [(O.lesion_loss, [[1, 0, 1, 0, 0], [0, 1, 1, 0, 1]]),
+                                          (O.location_loss, [5, 2])])
+def test_float32_logits_float64_value_float32_gradient(rng, loss, labels):
+    # the value is the float64 loss of the same (widened) logits, bit for bit
+    data = rng.uniform(-3, 3, size=(2, 5)).astype(np.float32)
+    narrow = loss(Tensor(data, requires_grad=True), labels)
+    wide = loss(Tensor(data.astype(np.float64), requires_grad=True), labels)
+    assert narrow.data.dtype == np.float64 and narrow.item() == wide.item()
+    (g,) = narrow._backward(np.float64(1.0))
+    assert g.dtype == np.float32
+    assert np.array_equal(g, wide._backward(np.float64(1.0))[0].astype(np.float32))
+
+
 class TestJointLoss:
     def net(self, P=2, Q=4, seed=0):
         return DualHeadNet(NetConfig(width=4, blocks=1), P, Q, seed)

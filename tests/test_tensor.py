@@ -196,6 +196,41 @@ class TestNoGrad:
             assert np.array_equal(lhs, rhs)
 
 
+class TestPrecision:
+    """Ops compute in their activation's dtype; gradients come back in each parent's."""
+
+    def test_tensor_keeps_float32_and_widens_the_rest(self):
+        f64 = np.zeros(3)
+        assert T.Tensor(f64).data is f64
+        assert T.Tensor(np.zeros(3, np.float32)).data.dtype == np.float32
+        for data in ([1, 2], 1.5, np.zeros(2, np.float16), np.zeros(2, np.int32)):
+            assert T.Tensor(data).data.dtype == np.float64
+
+    def test_float32_activations_with_float64_parameters(self, rng):
+        def f32(*shape):
+            return T.Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+        x4, x2 = f32(2, 3, 4, 4), f32(2, 3)
+        w4, b4 = t(rng.normal(size=(2, 3, 3, 3))), t(rng.normal(size=2))
+        w2, b2 = t(rng.normal(size=(3, 2))), t(rng.normal(size=2))
+        outs = [T.relu(x2), T.add(x2, x2), T.scale(x2, 2.0), T.flatten(x4), T.matmul(x2, w2),
+                T.bias_add(T.matmul(x2, w2), b2), T.conv2d(x4, w4, b4, padding=1),
+                T.conv2d(x4, w4, b4, stride=2, padding=1), T.maxpool2d(x4, 2),
+                T.global_avg_pool(x4)]
+        assert [o.data.dtype for o in outs] == [np.float32] * len(outs)
+        # the scalar reductions widen their value: the loss roots are float64 too
+        outs += [T.tsum(x2), T.sum_squares(x2)]
+        assert outs[-2].data.dtype == outs[-1].data.dtype == np.float64
+        for out in outs:
+            grads = out._backward(np.ones_like(out.data))
+            assert [g.dtype for g in grads] == [p.data.dtype for p in out._parents]
+        # leaves: the float32 activation gets a float32 .grad, the parameters float64
+        T.backward(T.tsum(T.bias_add(T.matmul(T.flatten(T.conv2d(x4, w4, b4)),
+                                              t(rng.normal(size=(8, 2)))), b2)))
+        assert x4.grad.dtype == np.float32
+        assert w4.grad.dtype == b4.grad.dtype == b2.grad.dtype == np.float64
+
+
 class TestGradientCheck:
     """Central finite differences vs autodiff for every op kind."""
 
