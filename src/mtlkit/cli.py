@@ -121,9 +121,16 @@ def _load_model(checkpoint, manifest):
     """The net and fitted AugmentConfig of a checkpoint, and a manifest's
     dataset of matching dimensions."""
     net, _, state = load_checkpoint(checkpoint)
+    if "augment" not in state:
+        raise CheckpointError(f"{checkpoint}: state blob lacks augment")
     try:
-        aug = AugmentConfig(**state.get("augment", {}))
-    except TypeError as e:
+        aug = _sub_config(AugmentConfig, state["augment"], "augment")
+        means, c = aug.channel_means, net.config.in_channels
+        if not isinstance(means, list) or len(means) != c:
+            raise BadConfig(f"augment.channel_means must be {c} numbers, got {means!r}")
+        for m in means:
+            _check_value("augment.channel_means", m, float)
+    except BadConfig as e:
         raise CheckpointError(f"{checkpoint}: bad augment state: {e}") from None
     ds = load_manifest(manifest)
     if net.P != ds.P or net.Q != ds.Q:

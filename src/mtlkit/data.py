@@ -162,7 +162,7 @@ def load_manifest(path) -> Dataset:
             raise ParseError(1, f"header {key!r} must be a list of names, got {header[key]!r}")
     lesion_names = list(dict.fromkeys(header["lesions"]))
     location_names = list(dict.fromkeys(header["locations"]))
-    samples = []
+    samples, seen = [], set()
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             rec = json.loads(line)
@@ -173,6 +173,10 @@ def load_manifest(path) -> Dataset:
         for key in ("id", "image", "lesions", "location"):
             if key not in rec:
                 raise ParseError(lineno, f"record missing field {key!r}")
+        sid = str(rec["id"])
+        if sid in seen:
+            raise ParseError(lineno, f"duplicate sample id {sid!r}")
+        seen.add(sid)
         if not isinstance(rec["image"], str) or not isinstance(rec["lesions"], list):
             raise ParseError(lineno, "record 'image' must be a path and 'lesions' a list")
         if not rec["lesions"]:
@@ -188,7 +192,7 @@ def load_manifest(path) -> Dataset:
         img_path = os.path.join(base, rec["image"])
         if not os.path.isfile(img_path):
             raise MissingImage(img_path)
-        samples.append(Sample(read_ppm(img_path), u, v, str(rec["id"])))
+        samples.append(Sample(read_ppm(img_path), u, v, sid))
     return Dataset(samples, lesion_names, location_names)
 
 

@@ -36,9 +36,7 @@ class ScoreMatrix:
 @dataclass
 class CorrelationMatrix:
     R: np.ndarray            # P x Q in [0, 1]
-    lesion_counts: np.ndarray    # N_i
-    location_counts: np.ndarray  # M_j
-    empty_lesions: list          # lesion indices with N_i == 0 (rows all zero)
+    empty_lesions: list      # lesion indices with no images (rows all zero)
 
 
 def average_precision(scores, labels) -> float:
@@ -124,17 +122,15 @@ def correlation_matrix(ds) -> CorrelationMatrix:
     p, q = ds.P, ds.Q
     joint = np.zeros((p, q))
     n_i = np.zeros(p)
-    m_j = np.zeros(q)
     for s in ds.samples:
         lesions = np.flatnonzero(s.u)
         n_i[lesions] += 1
-        m_j[s.v - 1] += 1
         joint[lesions, s.v - 1] += 1
     r = np.zeros((p, q))
     nonzero = n_i > 0
     r[nonzero] = joint[nonzero] / n_i[nonzero, None]
     empty = [int(i) for i in np.flatnonzero(~nonzero)]
-    return CorrelationMatrix(r, n_i.astype(np.int64), m_j.astype(np.int64), empty)
+    return CorrelationMatrix(r, empty)
 
 
 def ensemble_max(a: ScoreMatrix, b: ScoreMatrix) -> ScoreMatrix:

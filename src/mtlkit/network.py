@@ -9,8 +9,10 @@ Checkpoint layout (little-endian):
     magic "MTLK", u32 version=1, u32 param count,
     per param: u32 ndim, u32 dims..., f64 values,
     u32 momentum-buffer count, buffers in the same per-param encoding,
-    u32 blob length, JSON training-state blob (net config, lr, epoch,
-    plateau counters).
+    u32 blob length, JSON training-state blob: the net's config, P, Q and
+    seed plus the caller's fields (train writes optimizer, epoch, mode and
+    augment).
+The parameters are stored in param_table order.
 """
 
 from __future__ import annotations
@@ -45,15 +47,38 @@ class Param:
     name: str
     tensor: T.Tensor
     lr_mult: float = 1.0
+    task: str | None = None   # the head's task; None for the trunk
 
 
-def _glorot(rng, shape, fan_in, fan_out):
-    a = math.sqrt(6.0 / (fan_in + fan_out))
+def param_table(config: NetConfig, P: int, Q: int):
+    """(name, shape, lr_mult, task) of each parameter of DualHeadNet(config,
+    P, Q) in order: the trunk (task None), then the lesion and location
+    heads. A generator, so a caller can stop before a huge blocks count."""
+    w, c = config.width, config.in_channels
+    yield "conv1_w", (w, c, 3, 3), 1.0, None
+    yield "conv1_b", (w,), 1.0, None
+    for i in range(config.blocks):
+        yield f"block{i}_w1", (w, w, 3, 3), 1.0, None
+        yield f"block{i}_b1", (w,), 1.0, None
+        yield f"block{i}_w2", (w, w, 3, 3), 1.0, None
+        yield f"block{i}_b2", (w,), 1.0, None
+    for task, n in (("lesion", P), ("location", Q)):
+        yield f"{task}_w", (w, n), config.head_w_mult, task
+        yield f"{task}_b", (n,), config.head_b_mult, task
+
+
+def _init(rng, shape):
+    """Glorot-uniform for a weight, whose fans count a conv's 3x3 taps; zeros for a bias."""
+    if len(shape) == 1:
+        return np.zeros(shape)
+    a = math.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
     return rng.uniform(-a, a, size=shape)
 
 
 class DualHeadNet:
-    """Shared trunk plus lesion (multi-label) and location (multi-class) heads."""
+    """Shared trunk plus lesion (multi-label) and location (multi-class) heads.
+
+    Each parameter of param_table is also an attribute, net.lesion_w say."""
 
     def __init__(self, config: NetConfig, P: int, Q: int, seed: int):
         if P < 1:
@@ -66,26 +91,11 @@ class DualHeadNet:
         self.P = P
         self.Q = Q
         self.seed = seed
-
         rng = np.random.default_rng(seed)
-        w = config.width
-        c = config.in_channels
-        self.conv1_w = T.Tensor(_glorot(rng, (w, c, 3, 3), c * 9, w * 9), requires_grad=True)
-        self.conv1_b = T.Tensor(np.zeros(w), requires_grad=True)
-        self.blocks = []
-        for _ in range(config.blocks):
-            blk = tuple(
-                T.Tensor(_glorot(rng, (w, w, 3, 3), w * 9, w * 9), requires_grad=True)
-                if i % 2 == 0
-                else T.Tensor(np.zeros(w), requires_grad=True)
-                for i in range(4)  # w1, b1, w2, b2
-            )
-            self.blocks.append(blk)
-        k = w
-        self.lesion_w = T.Tensor(_glorot(rng, (k, P), k, P), requires_grad=True)
-        self.lesion_b = T.Tensor(np.zeros(P), requires_grad=True)
-        self.location_w = T.Tensor(_glorot(rng, (k, Q), k, Q), requires_grad=True)
-        self.location_b = T.Tensor(np.zeros(Q), requires_grad=True)
+        self._params = [Param(name, T.Tensor(_init(rng, shape), requires_grad=True), mult, task)
+                        for name, shape, mult, task in param_table(config, P, Q)]
+        for p in self._params:
+            setattr(self, p.name, p.tensor)
 
     @property
     def feature_dim(self) -> int:
@@ -94,18 +104,12 @@ class DualHeadNet:
     def parameters(self, tasks=("lesion", "location")) -> list[Param]:
         """Named parameters with learning-rate multipliers: the trunk, then
         the head of each task in tasks (objective.TASKS[mode] for a mode)."""
-        ps = [Param("conv1_w", self.conv1_w), Param("conv1_b", self.conv1_b)]
-        for i, (w1, b1, w2, b2) in enumerate(self.blocks):
-            ps += [
-                Param(f"block{i}_w1", w1),
-                Param(f"block{i}_b1", b1),
-                Param(f"block{i}_w2", w2),
-                Param(f"block{i}_b2", b2),
-            ]
-        for task in tasks:
-            ps += [Param(f"{task}_w", getattr(self, f"{task}_w"), self.config.head_w_mult),
-                   Param(f"{task}_b", getattr(self, f"{task}_b"), self.config.head_b_mult)]
-        return ps
+        return [p for p in self._params if p.task is None or p.task in tasks]
+
+    def set_parameters(self, arrays):
+        """Set every parameter, in table order, to the matching array."""
+        for p, arr in zip(self.parameters(), arrays, strict=True):
+            p.tensor.data = arr
 
     def forward(self, batch):
         """Run the trunk and both heads.
@@ -116,9 +120,10 @@ class DualHeadNet:
         x = batch if isinstance(batch, T.Tensor) else T.Tensor(batch)
         if x.ndim != 4 or x.shape[1] != self.config.in_channels:
             raise ShapeMismatch(f"(B, {self.config.in_channels}, H, W)", x.shape, "forward")
-        h = T.relu(T.conv2d(x, self.conv1_w, self.conv1_b, padding=1))
+        trunk = (p.tensor for p in self.parameters(()))
+        h = T.relu(T.conv2d(x, next(trunk), next(trunk), padding=1))
         h = T.maxpool2d(h, 2)
-        for w1, b1, w2, b2 in self.blocks:
+        for w1, b1, w2, b2 in zip(trunk, trunk, trunk, trunk):  # the blocks, four at a time
             y = T.relu(T.conv2d(h, w1, b1, padding=1))
             y = T.conv2d(y, w2, b2, padding=1)
             h = T.relu(T.add(y, h))
@@ -139,13 +144,6 @@ class DualHeadNet:
 
 # ---------------------------------------------------------------------------
 # checkpoint serialization
-
-
-def _param_shapes(config: NetConfig, P: int, Q: int) -> list[tuple]:
-    """Shapes of DualHeadNet(config, P, Q).parameters(), in order, without building it."""
-    w, c = config.width, config.in_channels
-    trunk = [(w, c, 3, 3), (w,)] + [(w, w, 3, 3), (w,)] * (2 * config.blocks)
-    return trunk + [(w, P), (P,), (w, Q), (Q,)]
 
 
 def _write_array(buf: bytearray, arr: np.ndarray):
@@ -232,14 +230,14 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: state blob lacks {', '.join(missing)}")
     try:
         config, P, Q = NetConfig(**state.pop("config")), state.pop("P"), state.pop("Q")
-        # check the shapes before building: a huge P or width would allocate first
-        if (len(arrays) != 4 * config.blocks + 6
-                or [a.shape for a in arrays] != _param_shapes(config, P, Q)):
+        # check the shapes before building: a huge P or width would allocate
+        # first; the table is read one entry past the arrays and no further
+        table = islice(param_table(config, P, Q), len(arrays) + 1)
+        if [a.shape for a in arrays] != [shape for _, shape, _, _ in table]:
             raise CheckpointError(f"{path}: stored parameter shapes do not match the "
                                   f"net config, P={P!r} and Q={Q!r}")
         net = DualHeadNet(config, P, Q, state.pop("seed"))
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad net config or dimensions: {e}") from None
-    for p, arr in zip(net.parameters(), arrays):
-        p.tensor.data = arr
+    net.set_parameters(arrays)
     return net, buffers, state

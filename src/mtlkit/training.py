@@ -47,6 +47,9 @@ def _check_config(cfg):
         raise BadConfig(f"need weight_decay >= 0, lr > 0, batch_size >= 1, epochs >= 0 and "
                         f"pretrain_epochs >= 0; got {cfg.weight_decay}, {cfg.lr}, "
                         f"{cfg.batch_size}, {cfg.epochs} and {cfg.pretrain_epochs}")
+    if cfg.augment.jitter_min > cfg.augment.jitter_max:
+        raise BadConfig(f"need augment.jitter_min <= augment.jitter_max, got "
+                        f"{cfg.augment.jitter_min} > {cfg.augment.jitter_max}")
 
 
 def _train_epoch(net, samples, rng, aug, opt, cfg, epoch):
@@ -293,8 +296,7 @@ def cross_validate(ds: Dataset, cfg: TrainConfig):
     for f in fold_ids:
         arrays, aug = fitted[f]
         net = DualHeadNet(cfg.net, ds.P, ds.Q, seed=cfg.seed + f)
-        for p, arr in zip(net.parameters(), arrays):
-            p.tensor.data = arr
+        net.set_parameters(arrays)
         report, _, _ = fold_metrics(net, [s for s, g in zip(ds.samples, ds.folds) if g == f],
                                     aug, cfg)
         report["fold"] = f

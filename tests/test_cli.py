@@ -367,6 +367,14 @@ def test_out_of_range_config_value_fails_before_any_output(workspace, tmp_path, 
 
 
 @pytest.mark.parametrize("command", ["train", "cv"])
+def test_jitter_min_above_jitter_max_fails_before_any_output(workspace, tmp_path, capsys,
+                                                             command):
+    line = _run_bad_config(workspace, tmp_path, capsys,
+                           lambda raw: raw["augment"].update(jitter_min=13), command)
+    assert "jitter_min <= augment.jitter_max" in line and "13 > 12" in line
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
 def test_negative_epochs_flag_fails_before_any_output(workspace, tmp_path, capsys, command):
     capsys.readouterr()
     out = ["--out-dir", str(tmp_path / "run")] if command == "train" else []
@@ -454,6 +462,23 @@ def test_bad_manifest_fails_in_one_line(workspace, tmp_path, capsys, command, co
     line = _single_error(capsys, error)
     if content is None:
         assert str(manifest) in line
+
+
+@pytest.mark.parametrize("command", MANIFEST_COMMANDS)
+def test_duplicate_sample_id_fails_in_one_line(workspace, tmp_path, capsys, command):
+    # two records share an id; absolute image paths keep the records loadable from tmp_path
+    lines = open(workspace["manifest"]).read().splitlines()
+    base = os.path.dirname(workspace["manifest"])
+    recs = [json.loads(line) for line in lines[1:3]]
+    for rec in recs:
+        rec["image"] = os.path.join(base, rec["image"])
+    recs[1]["id"] = recs[0]["id"]
+    manifest = tmp_path / "dup.jsonl"
+    manifest.write_text("\n".join([lines[0], *map(json.dumps, recs)]) + "\n")
+    argv = _argv(command, workspace, tmp_path, manifest=str(manifest))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert f"line 3: duplicate sample id {recs[0]['id']!r}" in _single_error(capsys, "ParseError")
 
 
 @pytest.mark.parametrize("command", ["eval", "retrieve", "attention"])
@@ -574,9 +599,15 @@ def _nest(section, **extra):
     lambda state: dict(state, P="3"), _nest("config", width=2**20),
     _nest("config", blocks=2**40), _nest("config", blocks=2.0),
     lambda state: dict(state, seed=-1),
+    # the fitted augment state: scoring would run on wrongly scaled or centred inputs
+    _drop("augment"), _nest("augment", channel_means=None),
+    _nest("augment", channel_means=[0.1]), _nest("augment", channel_means=[0.1, 0.2]),
+    _nest("augment", channel_means=["a", "b", "c"]), _nest("augment", crop="8"),
+    _nest("augment", eval_scale=None),
 ], ids=["not-object", "no-config", "no-P", "no-Q", "no-seed", "config-unknown-key",
         "augment-unknown-key", "huge-P", "Q-off-by-one", "P-string", "huge-width",
-        "huge-blocks", "float-blocks", "negative-seed"])
+        "huge-blocks", "float-blocks", "negative-seed", "no-augment", "means-null",
+        "means-one", "means-two", "means-strings", "crop-string", "eval-scale-null"])
 def test_bad_checkpoint_state_fails_in_one_line(workspace, tmp_path, capsys, edit):
     data = open(workspace["ckpt"], "rb").read()
     start = data.rindex(b'{"P": ')  # the JSON state blob ends the file

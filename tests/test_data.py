@@ -85,6 +85,13 @@ class TestManifest:
         with pytest.raises(MissingImage):
             load_manifest(path)
 
+    def test_duplicate_id_rejected_at_its_second_line(self, tmp_path):
+        records = [{"id": "s0", "lesions": ["a"], "location": "x"},
+                   {"id": "s1", "lesions": ["b"], "location": "y"},
+                   {"id": "s0", "lesions": ["b"], "location": "x"}]
+        with pytest.raises(ParseError, match=r"line 4: duplicate sample id 's0'"):
+            load_manifest(make_manifest(tmp_path, records))
+
     def test_golden_fixture(self, tmp_path):
         records = [
             {"id": "s0", "lesions": ["a"], "location": "x"},

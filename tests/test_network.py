@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -26,11 +27,29 @@ def test_full_scale_head_shapes():
     assert net.location_w.shape == (net.feature_dim, 23)
 
 
-@pytest.mark.parametrize("config", [NetConfig(), NetConfig(in_channels=1, width=5, blocks=0),
-                                    NetConfig(width=3, blocks=3)])
-def test_param_shapes_match_the_built_net(config):
-    net = DualHeadNet(config, P=4, Q=6, seed=0)
-    assert network._param_shapes(config, 4, 6) == [p.tensor.shape for p in net.parameters()]
+def test_init_draws_glorot_weights_in_order():
+    # one generator seeded with the net's seed draws conv1_w, then each block's
+    # w1 and w2, then lesion_w and location_w; a conv's fans count its 3x3 taps,
+    # and every bias starts at zero
+    P, Q, w, c = 5, 4, NetConfig().width, NetConfig().in_channels
+    rng = np.random.default_rng(3)
+
+    def glorot(shape, fan_in, fan_out):
+        a = math.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-a, a, size=shape)
+
+    ref = {"conv1_w": glorot((w, c, 3, 3), c * 9, w * 9), "conv1_b": np.zeros(w)}
+    for i in range(NetConfig().blocks):
+        ref[f"block{i}_w1"] = glorot((w, w, 3, 3), w * 9, w * 9)
+        ref[f"block{i}_b1"] = np.zeros(w)
+        ref[f"block{i}_w2"] = glorot((w, w, 3, 3), w * 9, w * 9)
+        ref[f"block{i}_b2"] = np.zeros(w)
+    ref["lesion_w"], ref["lesion_b"] = glorot((w, P), w, P), np.zeros(P)
+    ref["location_w"], ref["location_b"] = glorot((w, Q), w, Q), np.zeros(Q)
+    params = DualHeadNet(NetConfig(), P, Q, seed=3).parameters()
+    assert [p.name for p in params] == list(ref)
+    for p in params:
+        assert np.array_equal(p.tensor.data, ref[p.name]), p.name
 
 
 @pytest.mark.parametrize("mode, heads", [
@@ -268,6 +287,15 @@ class TestCheckpoint:
             assert np.array_equal(ba, bb)
         assert state["epoch"] == 4
         assert loaded.P == net.P and loaded.Q == net.Q
+
+    def test_set_parameters_takes_one_array_per_parameter(self):
+        net, other = small_net(seed=1), small_net(seed=2)
+        net.set_parameters([p.tensor.data for p in other.parameters()])
+        assert all(np.array_equal(p.tensor.data, q.tensor.data)
+                   for p, q in zip(net.parameters(), other.parameters()))
+        assert net.lesion_w.data is other.lesion_w.data
+        with pytest.raises(ValueError):
+            net.set_parameters([p.tensor.data for p in other.parameters()][:-1])
 
     def test_save_twice_identical_bytes(self, tmp_path):
         net = small_net(seed=2)
