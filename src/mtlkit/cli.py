@@ -38,7 +38,14 @@ from .errors import (
 from .network import DualHeadNet, NetConfig, load_checkpoint, save_checkpoint
 from .objective import TASKS
 from .optim import PlateauConfig
-from .training import TrainConfig, _check_config, cross_validate, fold_metrics, train
+from .training import (
+    TrainConfig,
+    _check_config,
+    check_augment,
+    cross_validate,
+    fold_metrics,
+    train,
+)
 
 
 def _load_json(path):
@@ -130,6 +137,7 @@ def _load_model(checkpoint, manifest):
             raise BadConfig(f"augment.channel_means must be {c} numbers, got {means!r}")
         for m in means:
             _check_value("augment.channel_means", m, float)
+        check_augment(aug)
     except BadConfig as e:
         raise CheckpointError(f"{checkpoint}: bad augment state: {e}") from None
     ds = load_manifest(manifest)

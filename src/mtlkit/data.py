@@ -1,6 +1,14 @@
 """Dataset model, manifest ingestion, the synthetic correlated-label
 generator, and image transforms (scale jitter, crop, flip, 10-crop).
 
+``augment`` takes a whole training batch and returns it as one
+B x C x crop x crop array; the samples may differ in H x W but not in C.
+Each sample draws its jitter scale, crop top, crop left and flip, in that
+order, before the next sample draws. ``eval_transform`` and ``ten_crop``
+take one sample. Every bilinear resample reads the cached, read-only
+``_axis_table`` of its (input length, output length), so the map is
+defined once.
+
 Manifest format: JSON-lines. The first line is a header
 ``{"lesions": [...], "locations": [...]}``; every following line is a
 record ``{"id", "image", "lesions", "location"}`` with the image path
@@ -21,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -323,6 +332,21 @@ def channel_means(samples) -> np.ndarray:
     return total / count
 
 
+@lru_cache(maxsize=1024)
+def _axis_table(n_in: int, n_out: int):
+    """Corner-aligned bilinear map of n_in source positions onto n_out
+    outputs: (idx, wts), each 2 x n_out, where output j reads source pixels
+    idx[0, j] and idx[1, j] with weights wts[0, j] and wts[1, j]. Cached and
+    read-only, since every caller shares the arrays."""
+    pos = np.linspace(0.0, n_in - 1.0, n_out) if n_out > 1 else np.zeros(1)
+    i0 = np.floor(pos).astype(np.intp)
+    frac = pos - i0
+    idx = np.stack([i0, np.minimum(i0 + 1, n_in - 1)])
+    wts = np.stack([1 - frac, frac])
+    idx.flags.writeable = wts.flags.writeable = False
+    return idx, wts
+
+
 def resize_bilinear(image: np.ndarray, out_h: int, out_w: int, window=None) -> np.ndarray:
     """Corner-aligned bilinear resize of a C x H x W image.
 
@@ -331,21 +355,17 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int, window=None) -> n
     equal the same slice of the full resize.
     """
     c, h, w = image.shape
-    ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
-    xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
+    (y0, y1), (vy, wy) = _axis_table(h, out_h)
+    (x0, x1), (vx, wx) = _axis_table(w, out_w)
     if window is not None:
         r0, c0, rows, cols = window
-        ys, xs = ys[r0 : r0 + rows], xs[c0 : c0 + cols]
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[None, :, None]
-    wx = (xs - x0)[None, None, :]
+        y0, y1, vy, wy = (a[r0 : r0 + rows] for a in (y0, y1, vy, wy))
+        x0, x1, vx, wx = (a[c0 : c0 + cols] for a in (x0, x1, vx, wx))
+    vy, wy = vy[None, :, None], wy[None, :, None]
     rows0, rows1 = image[:, y0], image[:, y1]
-    top = rows0[:, :, x0] * (1 - wx) + rows0[:, :, x1] * wx
-    bot = rows1[:, :, x0] * (1 - wx) + rows1[:, :, x1] * wx
-    return top * (1 - wy) + bot * wy
+    top = rows0[:, :, x0] * vx + rows0[:, :, x1] * wx
+    bot = rows1[:, :, x0] * vx + rows1[:, :, x1] * wx
+    return top * vy + bot * wy
 
 
 def _shorter_side_shape(image: np.ndarray, s: int) -> tuple:
@@ -366,21 +386,72 @@ def _subtract_means(image: np.ndarray, means) -> np.ndarray:
     return image - np.asarray(means)[:, None, None]
 
 
-def augment(sample: Sample, rng: np.random.Generator, cfg: AugmentConfig) -> np.ndarray:
-    """Training-time transform: jittered resize, mean subtraction,
-    random crop, horizontal flip. Output is C x crop x crop. Only the
-    crop window of the jittered image is resampled."""
-    s = int(rng.integers(cfg.jitter_min, cfg.jitter_max + 1))
-    h, w = _shorter_side_shape(sample.image, s)
-    if cfg.crop > min(h, w):
-        raise CropTooLarge(f"crop {cfg.crop} exceeds jittered size {(h, w)}")
-    top = int(rng.integers(0, h - cfg.crop + 1))
-    left = int(rng.integers(0, w - cfg.crop + 1))
-    img = resize_bilinear(sample.image, h, w, window=(top, left, cfg.crop, cfg.crop))
-    img = _subtract_means(img, cfg.channel_means)
-    if rng.random() < cfg.flip_prob:
-        img = img[:, :, ::-1]
-    return np.ascontiguousarray(img)
+def augment(samples, rng: np.random.Generator, cfg: AugmentConfig) -> np.ndarray:
+    """Training-time transform of a batch: jittered resize, mean
+    subtraction, random crop, horizontal flip.
+
+    Takes a sequence of B samples whose images share their channel count C
+    (H x W may differ from sample to sample) and returns the float64 batch,
+    B x C x crop x crop. Each sample in turn draws its jitter scale, crop
+    top, crop left, then whether to flip; CropTooLarge is raised at the
+    first sample whose jittered image is smaller than the crop. Only the
+    crop windows are resampled, all B at once, with the arithmetic of
+    resize_bilinear, so each row equals the per-sample transform bit for bit.
+    """
+    crop, n = cfg.crop, len(samples)
+    c = samples[0].image.shape[0]
+    windows = []
+    for s in samples:
+        channels, h_in, w_in = s.image.shape
+        if channels != c:
+            raise ShapeMismatch(f"{c} channels like the batch's first image", s.image.shape,
+                                "augment")
+        h, w = _shorter_side_shape(s.image, int(rng.integers(cfg.jitter_min, cfg.jitter_max + 1)))
+        if crop > min(h, w):
+            raise CropTooLarge(f"crop {crop} exceeds jittered size {(h, w)}")
+        r0 = int(rng.integers(0, h - crop + 1))
+        c0 = int(rng.integers(0, w - crop + 1))
+        rows, cols = slice(r0, r0 + crop), slice(c0, c0 + crop)
+        if rng.random() < cfg.flip_prob:
+            cols = slice(c0 + crop - 1, c0 - 1 if c0 else None, -1)
+        (yi, yw), (xi, xw) = _axis_table(h_in, h), _axis_table(w_in, w)
+        windows.append((yi[0, rows], yw[:, rows], xi[0, cols], xw[:, cols]))
+    y0, yw, x0, xw = (np.array(a) for a in zip(*windows))   # B x crop, B x 2 x crop
+    # Pad each image with a copy of its last row and column. The right, lower
+    # and lower-right neighbours of flat pixel i are then i + 1, i + wp and
+    # i + wp + 1 for every sample, and on the last row or column they hold
+    # the pixel that the table's clamped second index names.
+    heights = np.array([s.image.shape[1] for s in samples])
+    widths = np.array([s.image.shape[2] for s in samples])
+    hp, wp = heights.max() + 1, widths.max() + 1
+    pad = np.empty((n, c, hp, wp))
+    for b, s in enumerate(samples):
+        pad[b, :, : heights[b], : widths[b]] = s.image
+    every = np.arange(n)
+    pad[every, :, :, widths] = pad[every, :, :, widths - 1]
+    pad[every, :, heights] = pad[every, :, heights - 1]
+    flat = pad.reshape(-1)
+    rows = (np.arange(n * c).reshape(n, c, 1) * hp + y0[:, None]) * wp   # B x C x crop
+    idx = rows[..., None] + x0[:, None, None]                            # upper-left pixels
+    size = flat.size - wp - 1
+    xw, yw = xw[:, None, :, None, :], yw[:, None, :, :, None]
+
+    def row(k):
+        """Row k (0 upper, 1 lower) of every output pixel's source square,
+        resampled across, times that row's weight."""
+        left = flat[k * wp : k * wp + size].take(idx)
+        left *= xw[:, :, 0]
+        right = flat[k * wp + 1 : k * wp + 1 + size].take(idx)
+        right *= xw[:, :, 1]
+        left += right
+        left *= yw[:, :, k]
+        return left
+
+    out = row(0)
+    out += row(1)
+    if cfg.channel_means is not None:
+        out -= np.asarray(cfg.channel_means)[:, None, None]
+    return out
 
 
 def eval_transform(sample: Sample, cfg: AugmentConfig) -> np.ndarray:

@@ -12,7 +12,9 @@ Checkpoint layout (little-endian):
     u32 blob length, JSON training-state blob: the net's config, P, Q and
     seed plus the caller's fields (train writes optimizer, epoch, mode and
     augment).
-The parameters are stored in param_table order.
+The parameters are stored in param_table order. The momentum buffers are
+none, or one per parameter that the state's mode trains (every parameter
+when the state names no mode), in the same order.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import BadConfig, CheckpointError, ShapeMismatch
+from .objective import TASKS
 
 _MAGIC = b"MTLK"
 _VERSION = 1
@@ -232,10 +235,19 @@ def load_checkpoint(path):
         config, P, Q = NetConfig(**state.pop("config")), state.pop("P"), state.pop("Q")
         # check the shapes before building: a huge P or width would allocate
         # first; the table is read one entry past the arrays and no further
-        table = islice(param_table(config, P, Q), len(arrays) + 1)
+        table = list(islice(param_table(config, P, Q), len(arrays) + 1))
         if [a.shape for a in arrays] != [shape for _, shape, _, _ in table]:
             raise CheckpointError(f"{path}: stored parameter shapes do not match the "
                                   f"net config, P={P!r} and Q={Q!r}")
+        if buffers:
+            # one per parameter the stored mode trains; every parameter without a mode
+            mode = state.get("mode", "mtl")
+            if not isinstance(mode, str) or mode not in TASKS:
+                raise CheckpointError(f"{path}: momentum buffers for an unknown mode {mode!r}")
+            trained = [shape for _, shape, _, task in table if task in (None, *TASKS[mode])]
+            if [b.shape for b in buffers] != trained:
+                raise CheckpointError(f"{path}: stored momentum buffers do not match the "
+                                      f"parameters that mode {mode!r} trains")
         net = DualHeadNet(config, P, Q, state.pop("seed"))
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad net config or dimensions: {e}") from None

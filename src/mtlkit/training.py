@@ -47,9 +47,18 @@ def _check_config(cfg):
         raise BadConfig(f"need weight_decay >= 0, lr > 0, batch_size >= 1, epochs >= 0 and "
                         f"pretrain_epochs >= 0; got {cfg.weight_decay}, {cfg.lr}, "
                         f"{cfg.batch_size}, {cfg.epochs} and {cfg.pretrain_epochs}")
-    if cfg.augment.jitter_min > cfg.augment.jitter_max:
+    check_augment(cfg.augment)
+
+
+def check_augment(aug: AugmentConfig):
+    """Raise BadConfig unless jitter_min <= jitter_max, crop >= 1 and
+    flip_prob lies in [0, 1]."""
+    if aug.jitter_min > aug.jitter_max:
         raise BadConfig(f"need augment.jitter_min <= augment.jitter_max, got "
-                        f"{cfg.augment.jitter_min} > {cfg.augment.jitter_max}")
+                        f"{aug.jitter_min} > {aug.jitter_max}")
+    if aug.crop < 1 or not 0 <= aug.flip_prob <= 1:
+        raise BadConfig(f"need augment.crop >= 1 and augment.flip_prob in [0, 1], got "
+                        f"{aug.crop} and {aug.flip_prob}")
 
 
 def _train_epoch(net, samples, rng, aug, opt, cfg, epoch):
@@ -61,7 +70,7 @@ def _train_epoch(net, samples, rng, aug, opt, cfg, epoch):
     for step, start in enumerate(range(0, len(samples), cfg.batch_size)):
         idx = order[start : start + cfg.batch_size]
         # the one choice of training precision: float32 steps, float64 master weights
-        imgs = np.stack([augment(samples[i], rng, aug) for i in idx], dtype=np.float32)
+        imgs = augment([samples[i] for i in idx], rng, aug).astype(np.float32)
         u = np.stack([samples[i].u for i in idx])
         v = np.array([samples[i].v for i in idx])
         les_logits, loc_logits, _, _ = net.forward(imgs)

@@ -105,6 +105,8 @@ class TestTrain:
                      "--mode", "lesion_only"]) == 0
         cfg = json.loads((out / "config.json").read_text())
         assert cfg["mode"] == "lesion_only"
+        # its checkpoint holds momentum buffers for the trunk and lesion head only
+        assert main(["eval", str(out / "final.ckpt"), workspace["manifest"]]) == 0
 
 
     @pytest.mark.parametrize("epochs, recorded", [(0, None), (2, 1)])
@@ -374,6 +376,16 @@ def test_jitter_min_above_jitter_max_fails_before_any_output(workspace, tmp_path
     assert "jitter_min <= augment.jitter_max" in line and "13 > 12" in line
 
 
+@pytest.mark.parametrize("key, value", [("crop", -2), ("crop", 0), ("flip_prob", 2.0),
+                                        ("flip_prob", -0.5)])
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_out_of_range_augment_value_fails_before_any_output(workspace, tmp_path, capsys, key,
+                                                            value, command):
+    line = _run_bad_config(workspace, tmp_path, capsys,
+                           lambda raw: raw["augment"].update({key: value}), command)
+    assert "augment.crop >= 1 and augment.flip_prob in [0, 1]" in line and str(value) in line
+
+
 @pytest.mark.parametrize("command", ["train", "cv"])
 def test_negative_epochs_flag_fails_before_any_output(workspace, tmp_path, capsys, command):
     capsys.readouterr()
@@ -583,6 +595,17 @@ def test_ensemble_rejects_columns_unlike_the_manifest(workspace, tmp_path, capsy
     assert "'extra'" in line and workspace["manifest"] in line
 
 
+def _with_state(workspace, tmp_path, edit):
+    """Path of a copy of the workspace checkpoint whose state blob is edit(state)."""
+    data = open(workspace["ckpt"], "rb").read()
+    start = data.rindex(b'{"P": ')  # the JSON state blob ends the file
+    assert struct.unpack("<I", data[start - 4 : start])[0] == len(data) - start
+    raw = json.dumps(edit(json.loads(data[start:]))).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(data[: start - 4] + struct.pack("<I", len(raw)) + raw)
+    return str(bad)
+
+
 def _drop(key):
     return lambda state: {k: v for k, v in state.items() if k != key}
 
@@ -603,18 +626,25 @@ def _nest(section, **extra):
     _drop("augment"), _nest("augment", channel_means=None),
     _nest("augment", channel_means=[0.1]), _nest("augment", channel_means=[0.1, 0.2]),
     _nest("augment", channel_means=["a", "b", "c"]), _nest("augment", crop="8"),
-    _nest("augment", eval_scale=None),
+    _nest("augment", eval_scale=None), _nest("augment", crop=0),
+    _nest("augment", flip_prob=2.0), _nest("augment", jitter_min=13),
 ], ids=["not-object", "no-config", "no-P", "no-Q", "no-seed", "config-unknown-key",
         "augment-unknown-key", "huge-P", "Q-off-by-one", "P-string", "huge-width",
         "huge-blocks", "float-blocks", "negative-seed", "no-augment", "means-null",
-        "means-one", "means-two", "means-strings", "crop-string", "eval-scale-null"])
+        "means-one", "means-two", "means-strings", "crop-string", "eval-scale-null",
+        "crop-zero", "flip-prob-above-one", "jitter-min-above-max"])
 def test_bad_checkpoint_state_fails_in_one_line(workspace, tmp_path, capsys, edit):
-    data = open(workspace["ckpt"], "rb").read()
-    start = data.rindex(b'{"P": ')  # the JSON state blob ends the file
-    assert struct.unpack("<I", data[start - 4 : start])[0] == len(data) - start
-    raw = json.dumps(edit(json.loads(data[start:]))).encode()
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(data[: start - 4] + struct.pack("<I", len(raw)) + raw)
+    bad = _with_state(workspace, tmp_path, edit)
     capsys.readouterr()
-    assert main(["eval", str(bad), workspace["manifest"]]) == 1
-    assert str(bad) in _single_error(capsys, "CheckpointError")
+    assert main(["eval", bad, workspace["manifest"]]) == 1
+    assert bad in _single_error(capsys, "CheckpointError")
+
+
+@pytest.mark.parametrize("command", ["eval", "retrieve", "attention"])
+def test_checkpoint_with_a_negative_crop_fails_in_one_line(workspace, tmp_path, capsys,
+                                                           command):
+    bad = _with_state(workspace, tmp_path, _nest("augment", crop=-3))
+    capsys.readouterr()
+    assert main(_argv(command, workspace, tmp_path, ckpt=bad)) == 1
+    line = _single_error(capsys, "CheckpointError")
+    assert bad in line and "augment.crop >= 1" in line

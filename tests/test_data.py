@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from mtlkit.data import (
     AugmentConfig,
     Sample,
     SynthSpec,
+    _axis_table,
     assign_folds,
     augment,
     channel_means,
@@ -21,8 +23,17 @@ from mtlkit.data import (
     ten_crop,
     write_ppm,
 )
-from mtlkit.errors import BadSpec, CropTooLarge, MissingImage, ParseError, UnknownLabel
+from mtlkit.errors import (
+    BadSpec,
+    CropTooLarge,
+    MissingImage,
+    ParseError,
+    ShapeMismatch,
+    UnknownLabel,
+)
 from mtlkit.metrics import correlation_matrix
+from mtlkit.network import DualHeadNet, NetConfig
+from mtlkit.training import TrainConfig, train
 
 
 def make_manifest(tmp_path, records, lesions=("a", "b"), locations=("x", "y")):
@@ -175,8 +186,8 @@ class TestAugment:
     def test_deterministic_under_seed(self, rng):
         s = self.sample(rng.random((3, 32, 32)))
         cfg = AugmentConfig()
-        a = augment(s, np.random.default_rng(3), cfg)
-        b = augment(s, np.random.default_rng(3), cfg)
+        a = augment([s], np.random.default_rng(3), cfg)[0]
+        b = augment([s], np.random.default_rng(3), cfg)[0]
         assert np.array_equal(a, b)
         assert a.shape == (3, 28, 28)
 
@@ -185,26 +196,27 @@ class TestAugment:
         means = img.mean(axis=(1, 2))
         cfg = AugmentConfig(jitter_min=16, jitter_max=16, crop=16, flip_prob=0.0,
                             channel_means=means)
-        out = augment(self.sample(img), np.random.default_rng(0), cfg)
+        out = augment([self.sample(img)], np.random.default_rng(0), cfg)[0]
         assert np.abs(out.mean(axis=(1, 2))).max() < 1e-9
 
     def test_constant_image_stays_constant(self):
         img = np.full((3, 20, 20), 0.7)
         cfg = AugmentConfig(jitter_min=24, jitter_max=30, crop=16)
-        out = augment(self.sample(img), np.random.default_rng(1), cfg)
+        out = augment([self.sample(img)], np.random.default_rng(1), cfg)[0]
         assert np.abs(out - 0.7).max() < 1e-9
 
     def test_crop_too_large(self):
         cfg = AugmentConfig(jitter_min=10, jitter_max=10, crop=12)
         with pytest.raises(CropTooLarge):
-            augment(self.sample(np.zeros((3, 8, 8))), np.random.default_rng(0), cfg)
+            augment([self.sample(np.zeros((3, 8, 8)))], np.random.default_rng(0), cfg)
 
 
 def augment_reference(sample, rng, cfg):
     """augment as full jittered resize, mean subtraction, crop, flip."""
     img = resize_shorter_side(sample.image, int(rng.integers(cfg.jitter_min, cfg.jitter_max + 1)))
     _, h, w = img.shape
-    img = img - cfg.channel_means[:, None, None]
+    if cfg.channel_means is not None:
+        img = img - cfg.channel_means[:, None, None]
     top = int(rng.integers(0, h - cfg.crop + 1))
     left = int(rng.integers(0, w - cfg.crop + 1))
     img = img[:, top : top + cfg.crop, left : left + cfg.crop]
@@ -229,7 +241,7 @@ def test_windowed_transforms_equal_full_resize_then_crop(rng, shape):
     assert got.tobytes() == want.tobytes()
     mine, ref = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(40):
-        got, want = augment(sample, mine, cfg), augment_reference(sample, ref, cfg)
+        got, want = augment([sample], mine, cfg)[0], augment_reference(sample, ref, cfg)
         assert got.flags.c_contiguous and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert mine.bit_generator.state == ref.bit_generator.state
@@ -240,6 +252,107 @@ def test_resize_window_is_slice_of_full_resize(rng):
     full = resize_bilinear(img, 25, 31)
     part = resize_bilinear(img, 25, 31, window=(4, 9, 13, 20))
     assert part.tobytes() == np.ascontiguousarray(full[:, 4:17, 9:29]).tobytes()
+
+
+MIXED_SHAPES = [(3, 32, 32), (3, 23, 41), (3, 45, 19), (3, 9, 30), (3, 32, 32), (3, 60, 50)]
+
+
+@pytest.mark.parametrize("flip_prob", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("means", [True, False], ids=["means", "no-means"])
+@pytest.mark.parametrize("n", [1, 6])
+def test_augment_batch_equals_reference_rows(rng, flip_prob, means, n):
+    cfg = AugmentConfig(flip_prob=flip_prob,
+                        channel_means=rng.normal(size=3) if means else None)
+    samples = [Sample(rng.random(shape), np.array([1]), 1, "s") for shape in MIXED_SHAPES[:n]]
+    mine, ref = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(5):
+        got = augment(samples, mine, cfg)
+        want = np.stack([augment_reference(s, ref, cfg) for s in samples])
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == (n, 3, cfg.crop, cfg.crop)
+        assert got.tobytes() == want.tobytes()
+        assert mine.bit_generator.state == ref.bit_generator.state
+
+
+def test_augment_edge_pixels_equal_reference_rows(rng):
+    # the crop spans the whole jittered image, whose last row and column come
+    # from source pixels of -0.0: only the clamped edge pixel itself, weighted
+    # by 0, keeps them -0.0, so another neighbour would show in the bytes
+    cfg = AugmentConfig(jitter_min=28, jitter_max=28, crop=28)
+    samples = []
+    for shape in [(3, 20, 20), (3, 28, 28), (3, 9, 9), (3, 40, 40)]:
+        img = rng.normal(size=shape)
+        img[:, -1, :] = img[:, :, -1] = -0.0
+        samples.append(Sample(img, np.array([1]), 1, "s"))
+    mine, ref = np.random.default_rng(2), np.random.default_rng(2)
+    for _ in range(3):
+        want = np.stack([augment_reference(s, ref, cfg) for s in samples])
+        assert augment(samples, mine, cfg).tobytes() == want.tobytes()
+
+
+def test_augment_raises_crop_too_large_at_the_offending_sample(rng):
+    # crop 25 fits a jitter scale of 25-30 but not one of 20-24
+    cfg = AugmentConfig(jitter_min=20, jitter_max=30, crop=25, channel_means=np.zeros(3))
+    samples = [Sample(rng.random(shape), np.array([1]), 1, "s") for shape in MIXED_SHAPES]
+    ref, done = np.random.default_rng(1), 0
+    for s in samples:
+        probe = np.random.default_rng()
+        probe.bit_generator.state = ref.bit_generator.state
+        if int(probe.integers(cfg.jitter_min, cfg.jitter_max + 1)) < cfg.crop:
+            break
+        augment_reference(s, ref, cfg)
+        done += 1
+    assert 0 < done < len(samples) - 1   # the seed puts the offending sample mid-batch
+    mine = np.random.default_rng(1)
+    with pytest.raises(CropTooLarge):
+        augment(samples, mine, cfg)
+    ref.integers(cfg.jitter_min, cfg.jitter_max + 1)   # the offending sample's scale
+    assert mine.bit_generator.state == ref.bit_generator.state
+
+
+def test_augment_rejects_a_batch_of_mixed_channel_counts(rng):
+    samples = [Sample(rng.random((3, 32, 32)), np.array([1]), 1, "a"),
+               Sample(rng.random((1, 32, 32)), np.array([1]), 1, "b")]
+    with pytest.raises(ShapeMismatch, match="augment"):
+        augment(samples, np.random.default_rng(0), AugmentConfig())
+
+
+def test_training_batches_are_float32_references():
+    ds = synthesize(SynthSpec(P=2, Q=2, N=30, R=np.eye(2), image_size=(3, 20, 20), seed=3))
+    aug = AugmentConfig(jitter_min=20, jitter_max=26, crop=16)
+    cfg = TrainConfig(epochs=1, batch_size=8, seed=4, net=NetConfig(width=4, blocks=1),
+                      augment=aug)
+    net = DualHeadNet(cfg.net, ds.P, ds.Q, seed=0)
+    batches, forward = [], net.forward
+    net.forward = lambda imgs: (batches.append(imgs), forward(imgs))[1]
+    _, _, fitted = train(net, ds.samples, None, cfg)
+    ref = np.random.default_rng(cfg.seed)
+    order = ref.permutation(len(ds))
+    fitted = replace(fitted, channel_means=np.asarray(fitted.channel_means))
+    assert len(batches) == 4
+    for start, got in zip(range(0, len(ds), cfg.batch_size), batches):
+        want = np.stack([augment_reference(ds.samples[i], ref, fitted)
+                         for i in order[start : start + cfg.batch_size]], dtype=np.float32)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_in, n_out", [(32, 41), (50, 36), (7, 7), (5, 1)])
+def test_axis_table_is_the_corner_aligned_map(n_in, n_out):
+    pos = np.linspace(0.0, n_in - 1.0, n_out) if n_out > 1 else np.zeros(1)
+    idx, wts = _axis_table(n_in, n_out)
+    assert np.array_equal(idx[0], np.floor(pos)) and idx.dtype == np.intp
+    assert np.array_equal(idx[1], np.minimum(np.floor(pos) + 1, n_in - 1))
+    assert wts[1].tobytes() == (pos - np.floor(pos)).tobytes()
+    assert wts[0].tobytes() == (1 - wts[1]).tobytes()
+
+
+def test_axis_table_is_cached_and_read_only():
+    idx, wts = _axis_table(32, 41)
+    again = _axis_table(32, 41)
+    assert again[0] is idx and again[1] is wts
+    for table in (idx, wts):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
 
 
 class TestTenCrop:

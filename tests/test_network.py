@@ -297,6 +297,33 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             net.set_parameters([p.tensor.data for p in other.parameters()][:-1])
 
+    @pytest.mark.parametrize("edit", [
+        lambda bufs: [np.zeros((7, 7, 7))], lambda bufs: bufs[:-1], lambda bufs: bufs + bufs[:1],
+        lambda bufs: [np.zeros((7, 7, 7))] + bufs[1:], lambda bufs: bufs[::-1],
+    ], ids=["one-odd-buffer", "one-short", "one-extra", "first-wrong-shape", "reversed"])
+    def test_momentum_buffers_must_fit_the_table(self, tmp_path, monkeypatch, edit):
+        net = small_net()
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, net, edit([np.zeros(p.tensor.shape) for p in net.parameters()]))
+        monkeypatch.setattr(network, "DualHeadNet", lambda *a: pytest.fail("net was built"))
+        with pytest.raises(CheckpointError, match="momentum buffers do not match"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("mode", sorted(TASKS))
+    def test_momentum_buffers_follow_the_stored_mode(self, tmp_path, mode):
+        # an optimizer holds buffers only for the parameters its mode trains
+        net = small_net()
+        bufs = [np.full(p.tensor.shape, 0.5) for p in net.parameters(TASKS[mode])]
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, net, bufs, {"mode": mode})
+        _, loaded, state = load_checkpoint(path)
+        assert state["mode"] == mode
+        assert all(np.array_equal(a, b) for a, b in zip(loaded, bufs, strict=True))
+        for other in [m for m in TASKS if m != mode] + ["unknown"]:
+            save_checkpoint(path, net, bufs, {"mode": other})
+            with pytest.raises(CheckpointError, match="momentum buffers"):
+                load_checkpoint(path)
+
     def test_save_twice_identical_bytes(self, tmp_path):
         net = small_net(seed=2)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
