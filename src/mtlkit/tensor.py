@@ -29,6 +29,9 @@ still receive float64 ``.grad``.
 Conventions fixed for determinism:
   * arrays are row-major;
   * relu's subgradient at exactly 0 is 0;
+  * relu's output is ``np.fmax(x, 0.0) + 0.0``, byte for byte
+    ``np.where(x > 0, x, 0.0)``: fmax sends NaN to 0, keeps +-inf, and may
+    keep a -0.0, which the +0.0 turns into +0.0;
   * maxpool ties go to the first element of the window in row-major
     order (window element n = i*k + j, the lowest n wins), and the
     whole output gradient of the window lands on that element;
@@ -38,17 +41,26 @@ Conventions fixed for determinism:
 Layout: conv2d keeps its im2col matrix as (B, C*kh*kw, Ho*Wo), pixels
 contiguous, so the forward pass is one batched matmul, with the bias added
 in place, whose result is already NCHW, and neither pass copies a
-transpose. The input gradient has no col2im scatter: it is the im2col
-(stride 1) of the output gradient, dilated by the stride and framed by
-kh-1 / kw-1 zeros, times the flipped kernel with its channel axes swapped,
-read at the padding offset so the result is already the unpadded
-(B, C, H, W) gradient. maxpool2d stacks the k*k strided views of each
-window into a leading axis.
+transpose. A same-padded conv (stride 1, kh = kw = 2*padding + 1, so the
+output is H x W) builds the matrix without a padded copy: each tap's block
+is one contiguous copy of the flattened image shifted by the tap's offset,
+after which the rows and columns that read outside the image are zeroed.
+Its input gradient is the same-padded im2col of the output gradient times
+the flipped kernel with its channel axes swapped. Any other geometry slices
+a zero-padded copy, one strided view per tap, and takes the input gradient
+from the output gradient dilated by the stride and framed by kh-1 / kw-1
+zeros, read at the padding offset. Both give the unpadded (B, C, H, W)
+gradient with no col2im scatter. The flat-shift matrices equal the sliced
+ones byte for byte, so the matmuls see the same operands. maxpool2d finds
+each window's winner on a stack of the k*k strided window views, then turns
+it into a flat position in x through a cached per-shape table: the forward
+pass is one ``take`` and the backward pass one scatter into zeros.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,8 +163,12 @@ def backward(root: Tensor) -> None:
 
 
 def relu(x: Tensor) -> Tensor:
+    # The mask is taken here, not from out inside bwd: that gave the same
+    # bytes, but its short-lived array made glibc trim and regrow the heap,
+    # and a perfbench train_val unit took 3-8x as many page faults.
     mask = x.data > 0.0
-    out = np.where(mask, x.data, 0.0)
+    out = np.fmax(x.data, 0.0)
+    out += 0.0  # -0.0 -> +0.0; with fmax's NaN -> 0 this is np.where(x > 0, x, 0.0)
 
     def bwd(g):
         return (g * mask,)
@@ -249,6 +265,35 @@ def _im2col(xp, kh, kw, stride, ho, wo, off=0):
     return cols.reshape(bsz, c * kh * kw, ho * wo)
 
 
+def _im2col_same(x, kh, kw):
+    """_im2col of x zero-padded by ph = (kh-1)/2 rows and pw = (kw-1)/2
+    columns at stride 1 (odd kh, kw), without the padded copy: tap (i, j) is
+    the flattened image shifted by (i-ph)*W + (j-pw), one contiguous copy,
+    and then every row and column whose source lies outside the image is
+    zeroed. That covers each position the copy skips, so none stays unset."""
+    bsz, c, h, wd = x.shape
+    ph, pw, n = kh // 2, kw // 2, h * wd
+    src = x.reshape(bsz, c, n)
+    cols = np.empty((bsz, c, kh * kw, n), x.dtype)
+    for t in range(kh * kw):
+        d = (t // kw - ph) * wd + t % kw - pw
+        lo, hi = max(-d, 0), min(n - d, n)
+        if lo < hi:  # else the shift passes the whole image
+            cols[:, :, t, lo:hi] = src[:, :, lo + d : hi + d]
+    taps = cols.reshape(bsz, c, kh, kw, h, wd)
+    for i in range(kh):  # output rows r with r + i - ph outside [0, H)
+        if i < ph:
+            taps[:, :, i, :, : ph - i] = 0.0
+        elif i > ph:
+            taps[:, :, i, :, max(h + ph - i, 0) :] = 0.0
+    for j in range(kw):  # output columns s with s + j - pw outside [0, W)
+        if j < pw:
+            taps[:, :, :, j, :, : pw - j] = 0.0
+        elif j > pw:
+            taps[:, :, :, j, :, max(wd + pw - j, 0) :] = 0.0
+    return cols.reshape(bsz, c * kh * kw, n)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of a B,C,H,W batch with O,C,kh,kw filters,
     plus a per-output-channel bias of shape (O,)."""
@@ -265,13 +310,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         raise ShapeMismatch(f"image >= kernel {kh}x{kw}", (hp, wp), "conv2d")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    if padding:
-        xp = np.zeros((bsz, cin, hp, wp), x.data.dtype)
-        xp[:, :, padding : padding + h, padding : padding + wd] = x.data
+    same = stride == 1 and kh == kw == 2 * padding + 1  # output H x W, as the input
+    if same:
+        cols = _im2col_same(x.data, kh, kw)  # cached for the weight gradient
     else:
         xp = x.data
-
-    cols = _im2col(xp, kh, kw, stride, ho, wo)  # cached for the weight gradient
+        if padding:
+            xp = np.zeros((bsz, cin, hp, wp), x.data.dtype)
+            xp[:, :, padding : padding + h, padding : padding + wd] = x.data
+        cols = _im2col(xp, kh, kw, stride, ho, wo)
     wc = w.data.astype(x.data.dtype, copy=False)
     out = np.matmul(wc.reshape(cout, -1), cols)
     out += b.data.astype(x.data.dtype, copy=False)[:, None]
@@ -284,14 +331,31 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         if not x.requires_grad:
             return None, gw, gb
         # the input gradient: see Layout in the module docstring
-        gd = np.zeros((bsz, cout, hp + kh - 1, wp + kw - 1), x.data.dtype)
-        gd[:, :, kh - 1 : kh - 1 + stride * ho : stride,
-           kw - 1 : kw - 1 + stride * wo : stride] = g
+        if same:
+            gcols = _im2col_same(g.astype(x.data.dtype, copy=False), kh, kw)
+        else:
+            gd = np.zeros((bsz, cout, hp + kh - 1, wp + kw - 1), x.data.dtype)
+            gd[:, :, kh - 1 : kh - 1 + stride * ho : stride,
+               kw - 1 : kw - 1 + stride * wo : stride] = g
+            gcols = _im2col(gd, kh, kw, 1, h, wd, off=padding)
         wflip = wc[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-        gcols = _im2col(gd, kh, kw, 1, h, wd, off=padding)
         return np.matmul(wflip, gcols).reshape(bsz, cin, h, wd), gw, gb
 
     return _result(out.reshape(bsz, cout, ho, wo), (x, w, b), bwd)
+
+
+@lru_cache(maxsize=64)
+def _pool_table(shape, k):
+    """Flat positions in a C-contiguous array of ``shape`` (B, C, H, W):
+    (base, offs), where base (B, C, H/k, W/k) holds each k x k window's first
+    element and offs[n] the step from it to window element n = i*k + j.
+    Cached and read-only, since every call of a shape shares the arrays."""
+    bsz, c, h, wd = shape
+    base = (np.arange(bsz * c).reshape(bsz, c, 1, 1) * (h * wd)
+            + np.arange(0, h * wd, k * wd).reshape(-1, 1) + np.arange(0, wd, k))
+    offs = np.array([i * wd + j for i in range(k) for j in range(k)])
+    base.flags.writeable = offs.flags.writeable = False
+    return base, offs
 
 
 def maxpool2d(x: Tensor, k: int) -> Tensor:
@@ -315,14 +379,14 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
     for v in win[:-1]:
         found |= (v == top) | (v != v)
         idx += ~found
-    flat = win.reshape(k * k, -1)
-    out = flat[idx.reshape(-1), np.arange(flat.shape[1])].reshape(top.shape)
+    base, offs = _pool_table(x.shape, k)
+    pos = base + offs[idx]  # flat position of each window's element idx in x
+    out = x.data.take(pos)
 
     def bwd(g):
-        gx = np.empty((bsz, c, ho, k, wo, k), x.data.dtype)
-        for n in range(k * k):
-            gx[:, :, :, n // k, :, n % k] = np.where(idx == n, g, 0.0)
-        return (gx.reshape(bsz, c, h, wd),)
+        gx = np.zeros(x.size, x.data.dtype)
+        gx[pos] = g
+        return (gx.reshape(x.shape),)
 
     return _result(out, (x,), bwd)
 

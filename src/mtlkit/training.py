@@ -51,14 +51,18 @@ def _check_config(cfg):
 
 
 def check_augment(aug: AugmentConfig):
-    """Raise BadConfig unless jitter_min <= jitter_max, crop >= 1 and
-    flip_prob lies in [0, 1]."""
+    """Raise BadConfig unless jitter_min <= jitter_max, crop >= 1, flip_prob
+    lies in [0, 1] and both scales reach the crop: jitter_min >= crop, so
+    every training draw fits it, and eval_scale >= crop."""
     if aug.jitter_min > aug.jitter_max:
         raise BadConfig(f"need augment.jitter_min <= augment.jitter_max, got "
                         f"{aug.jitter_min} > {aug.jitter_max}")
     if aug.crop < 1 or not 0 <= aug.flip_prob <= 1:
         raise BadConfig(f"need augment.crop >= 1 and augment.flip_prob in [0, 1], got "
                         f"{aug.crop} and {aug.flip_prob}")
+    if aug.jitter_min < aug.crop or aug.eval_scale < aug.crop:
+        raise BadConfig(f"need augment.jitter_min and augment.eval_scale >= augment.crop, got "
+                        f"{aug.jitter_min} and {aug.eval_scale} for crop {aug.crop}")
 
 
 def _train_epoch(net, samples, rng, aug, opt, cfg, epoch):

@@ -376,6 +376,17 @@ def test_jitter_min_above_jitter_max_fails_before_any_output(workspace, tmp_path
     assert "jitter_min <= augment.jitter_max" in line and "13 > 12" in line
 
 
+@pytest.mark.parametrize("key, value", [("eval_scale", 7), ("jitter_min", 7)])
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_scale_below_the_crop_fails_before_any_output(workspace, tmp_path, capsys, key, value,
+                                                      command):
+    # without the check, train exits 0 and eval fails; cv trains every fold first
+    line = _run_bad_config(workspace, tmp_path, capsys,
+                           lambda raw: raw["augment"].update({key: value}), command)
+    assert "augment.jitter_min and augment.eval_scale >= augment.crop" in line
+    assert f"{value}" in line and "crop 8" in line
+
+
 @pytest.mark.parametrize("key, value", [("crop", -2), ("crop", 0), ("flip_prob", 2.0),
                                         ("flip_prob", -0.5)])
 @pytest.mark.parametrize("command", ["train", "cv"])
@@ -628,11 +639,13 @@ def _nest(section, **extra):
     _nest("augment", channel_means=["a", "b", "c"]), _nest("augment", crop="8"),
     _nest("augment", eval_scale=None), _nest("augment", crop=0),
     _nest("augment", flip_prob=2.0), _nest("augment", jitter_min=13),
+    _nest("augment", eval_scale=7), _nest("augment", jitter_min=7),
 ], ids=["not-object", "no-config", "no-P", "no-Q", "no-seed", "config-unknown-key",
         "augment-unknown-key", "huge-P", "Q-off-by-one", "P-string", "huge-width",
         "huge-blocks", "float-blocks", "negative-seed", "no-augment", "means-null",
         "means-one", "means-two", "means-strings", "crop-string", "eval-scale-null",
-        "crop-zero", "flip-prob-above-one", "jitter-min-above-max"])
+        "crop-zero", "flip-prob-above-one", "jitter-min-above-max",
+        "eval-scale-below-crop", "jitter-min-below-crop"])
 def test_bad_checkpoint_state_fails_in_one_line(workspace, tmp_path, capsys, edit):
     bad = _with_state(workspace, tmp_path, edit)
     capsys.readouterr()

@@ -389,3 +389,160 @@ class TestKernelReference:
         assert (ref_out == 0.0).any() and np.signbit(ref_out[2, 2, 0, 0])
         assert out.data.tobytes() == ref_out.tobytes()
         assert x.grad.tobytes() == ref_gx.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# bitwise pins: each fast path against a copy of the slice / stack code it replaced
+
+
+def conv2d_slices(x, w, b, g, padding):
+    """Stride-1 conv2d by a padded copy and one strided slice per tap, with
+    the input gradient taken from the zero-framed g: (out, gw, gx, gb) in
+    x's dtype, by the same matmul calls as conv2d."""
+    def im2col(xp, kh, kw, ho, wo, off=0):
+        bsz, c = xp.shape[:2]
+        cols = np.empty((bsz, c, kh, kw, ho, wo), xp.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, :, i, j] = xp[:, :, off + i : off + i + ho, off + j : off + j + wo]
+        return cols.reshape(bsz, c * kh * kw, ho * wo)
+
+    bsz, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.zeros((bsz, cin, h + 2 * padding, wd + 2 * padding), x.dtype)
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    cols = im2col(xp, kh, kw, h, wd)
+    wc = w.astype(x.dtype)
+    out = np.matmul(wc.reshape(cout, -1), cols)
+    out += b.astype(x.dtype)[:, None]
+    gw = np.matmul(g.reshape(bsz, cout, h * wd), cols.transpose(0, 2, 1)).sum(axis=0)
+    gd = np.zeros((bsz, cout, h + 2 * padding + kh - 1, wd + 2 * padding + kw - 1), x.dtype)
+    gd[:, :, kh - 1 : kh - 1 + h, kw - 1 : kw - 1 + wd] = g
+    wflip = wc[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+    gx = np.matmul(wflip, im2col(gd, kh, kw, h, wd, off=padding)).reshape(x.shape)
+    return (out.reshape(bsz, cout, h, wd), gw.reshape(w.shape).astype(w.dtype), gx,
+            g.sum(axis=(0, 2, 3)).astype(b.dtype))
+
+
+def maxpool_stack(x, g, k):
+    """k x k max pooling by stacking the k*k window views and one np.where
+    per window element: (out, input grad)."""
+    bsz, c, h, wd = x.shape
+    ho, wo = h // k, wd // k
+    tiles = x.reshape(bsz, c, ho, k, wo, k)
+    win = np.stack([tiles[:, :, :, i, :, j] for i in range(k) for j in range(k)])
+    top = win.max(axis=0)
+    idx = np.zeros(top.shape, np.intp)
+    found = np.zeros(top.shape, bool)
+    for v in win[:-1]:
+        found |= (v == top) | (v != v)
+        idx += ~found
+    flat = win.reshape(k * k, -1)
+    out = flat[idx.reshape(-1), np.arange(flat.shape[1])].reshape(top.shape)
+    gx = np.empty((bsz, c, ho, k, wo, k), x.dtype)
+    for n in range(k * k):
+        gx[:, :, :, n // k, :, n % k] = np.where(idx == n, g, 0.0)
+    return out, gx.reshape(x.shape)
+
+
+def specials(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    return np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 3 * tiny,
+                     -5 * tiny, 1.0, -1.0], dtype)
+
+
+DTYPES = [np.float32, np.float64]
+
+
+class TestBitwisePins:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("trial", range(4))
+    def test_same_padded_conv2d_matches_slices(self, dtype, kernel, trial):
+        rng = np.random.default_rng([kernel, trial])
+        bsz, cin, cout = (int(v) for v in rng.integers(1, 5, 3))
+        h, wd = (int(v) for v in rng.integers(1, 12, 2))
+        if trial == 0:
+            wd = h + 3  # H != W for certain
+        self.check_same_conv(rng, dtype, (bsz, cin, h, wd), cout, kernel)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kernel", [5, 7])
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 2), (1, 7), (6, 1), (2, 5), (4, 3)])
+    def test_same_padded_conv2d_smaller_than_the_kernels_reach(self, rng, dtype, kernel, hw):
+        # a k x k kernel's flat shifts reach up to (k//2) * (W + 1) past either
+        # end of the image, and its rows up to k//2 past either edge
+        self.check_same_conv(rng, dtype, (3, 2, *hw), 3, kernel)
+
+    @staticmethod
+    def check_same_conv(rng, dtype, shape, cout, kernel):
+        x = T.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+        x.data[x.data < -1.5] = -0.0  # signed zeros must survive both the copy and the frame
+        w = t(rng.normal(size=(cout, shape[1], kernel, kernel)))
+        b = t(rng.normal(size=cout))
+        out = T.conv2d(x, w, b, padding=kernel // 2)
+        g = rng.normal(size=out.shape).astype(dtype)
+        g[g < -1.5] = -0.0
+        vjp(out, g)
+        ref = conv2d_slices(x.data, w.data, b.data, g, kernel // 2)
+        for got, want in zip((out.data, w.grad, x.grad, b.grad), ref):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_relu_matches_where(self, rng, dtype):
+        # np.fmax keeps a -0.0 at some positions of some lengths (where its
+        # vector loop meets its tail), so -0.0 and the specials visit every offset
+        cases = []
+        for n in range(1, 26):
+            for p in range(n):
+                cases.append(rng.normal(size=n).astype(dtype))
+                cases[-1][p] = -0.0
+        cases += [np.concatenate([rng.normal(size=lead).astype(dtype), specials(dtype)])
+                  for lead in range(17)]
+        for data in cases:
+            out = T.relu(T.Tensor(data)).data
+            want = np.where(data > 0, data, 0.0)
+            assert out.dtype == want.dtype == dtype
+            assert out.tobytes() == want.tobytes() and not np.signbit(out).any()
+        data = np.concatenate([specials(dtype), rng.normal(size=40).astype(dtype)])
+        x = T.Tensor(data, requires_grad=True)
+        out = T.relu(x)
+        g = np.concatenate([specials(dtype), rng.normal(size=40).astype(dtype)])[::-1].copy()
+        with np.errstate(invalid="ignore"):  # inf * 0 on both sides
+            (gx,) = out._backward(g)
+            assert gx.tobytes() == (g * (data > 0.0)).tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_maxpool_matches_stack(self, rng, dtype, k):
+        data = rng.normal(size=(3, 4, 4 * k, 2 * k)).astype(dtype)
+        data[0, 0] = 0.0
+        data[0, 0, ::2, ::2] = -0.0  # 0.0 / -0.0 ties, -0.0 first in some windows
+        data[0, 1, :k, :k] = -0.0
+        data[1, 1, k - 1, k - 1] = np.nan  # a NaN window: the NaN wins
+        data[1, 2, :k, :k] = np.nan
+        data[1, 2, 0, 0] = 1.0  # a NaN window whose first element is a number
+        data[2, 0, k : 2 * k, :k] = np.inf
+        x = T.Tensor(data, requires_grad=True)
+        out = T.maxpool2d(x, k)
+        g = rng.normal(size=out.shape).astype(dtype)
+        g[g < 0] = -0.0  # -0.0 upstream gradients must keep their sign
+        vjp(out, g)
+        ref_out, ref_gx = maxpool_stack(data, g, k)
+        assert np.isnan(ref_out).any() and np.signbit(ref_out[0, 1, 0, 0])
+        assert out.data.dtype == x.grad.dtype == dtype
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert x.grad.tobytes() == ref_gx.tobytes()
+
+    def test_maxpool_reads_a_non_contiguous_input(self, rng):
+        data = rng.normal(size=(2, 3, 4, 6)).transpose(0, 1, 3, 2)
+        out = T.maxpool2d(t(data), 2)
+        assert out.data.tobytes() == maxpool_stack(data, np.zeros(out.shape), 2)[0].tobytes()
+
+    def test_pool_table_is_cached_and_read_only(self):
+        base, offs = T._pool_table((2, 3, 4, 6), 2)
+        assert T._pool_table((2, 3, 4, 6), 2)[0] is base
+        assert not base.flags.writeable and not offs.flags.writeable
+        assert base[1, 2, 1, 2] == ((1 * 3 + 2) * 4 + 2) * 6 + 4
+        assert list(offs) == [0, 1, 6, 7]
