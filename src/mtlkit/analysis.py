@@ -80,7 +80,7 @@ def attention(net: DualHeadNet, image: np.ndarray, head: str, class_index: int,
     up = None
     if upsample:
         h, w = image.shape[1:]
-        up = resize_bilinear(norm[None], h, w)[0]
+        up = resize_bilinear([norm[None]], [(h, w, 0, 0, False)], h, w)[0, 0]
     return AttentionMap(norm, raw, class_index, head, up)
 
 

@@ -1,13 +1,18 @@
 """Dataset model, manifest ingestion, the synthetic correlated-label
 generator, and image transforms (scale jitter, crop, flip, 10-crop).
 
-``augment`` takes a whole training batch and returns it as one
-B x C x crop x crop array; the samples may differ in H x W but not in C.
-Each sample draws its jitter scale, crop top, crop left and flip, in that
-order, before the next sample draws. ``eval_transform`` and ``ten_crop``
-take one sample. Every bilinear resample reads the cached, read-only
-``_axis_table`` of its (input length, output length), so the map is
-defined once.
+Every view of an image is one bilinear kernel, ``resize_bilinear``: it
+takes a batch of images and one window per image (the resized size, the
+window's top-left corner and whether to mirror it) and computes only the
+windows' pixels, in one gather over the whole batch. Its map is the
+cached, read-only ``_axis_table`` of each (input length, output length).
+``augment`` draws a window per sample and resamples the training batch
+in one call; the samples may differ in H x W but not in C. Each sample
+draws its jitter scale, crop top, crop left and flip, in that order,
+before the next sample draws. ``eval_transform`` resamples one sample's
+centre window. ``ten_crop`` resamples one sample's whole eval-scale image
+and slices its ten crops from it. The channel means are subtracted after
+the resample.
 
 Manifest format: JSON-lines. The first line is a header
 ``{"lesions": [...], "locations": [...]}``; every following line is a
@@ -347,92 +352,44 @@ def _axis_table(n_in: int, n_out: int):
     return idx, wts
 
 
-def resize_bilinear(image: np.ndarray, out_h: int, out_w: int, window=None) -> np.ndarray:
-    """Corner-aligned bilinear resize of a C x H x W image.
+def resize_bilinear(images, windows, rows: int, cols: int) -> np.ndarray:
+    """Corner-aligned bilinear resample of a batch, one window per image.
 
-    With ``window=(r0, c0, rows, cols)`` only rows r0 .. r0+rows-1 and
-    columns c0 .. c0+cols-1 of the out_h x out_w result are computed; they
-    equal the same slice of the full resize.
+    ``images`` holds B arrays, C x H_b x W_b, with one C; ``windows`` holds
+    one (out_h, out_w, top, left, flip) per image. Image b is resized to
+    out_h x out_w, rows top .. top+rows-1 and columns left .. left+cols-1
+    of the result are kept, mirrored left to right when flip is true, and
+    only those pixels are computed. Returns the float64 B x C x rows x cols
+    batch, C-contiguous. Every image reads the tables of ``_axis_table``.
     """
-    c, h, w = image.shape
-    (y0, y1), (vy, wy) = _axis_table(h, out_h)
-    (x0, x1), (vx, wx) = _axis_table(w, out_w)
-    if window is not None:
-        r0, c0, rows, cols = window
-        y0, y1, vy, wy = (a[r0 : r0 + rows] for a in (y0, y1, vy, wy))
-        x0, x1, vx, wx = (a[c0 : c0 + cols] for a in (x0, x1, vx, wx))
-    vy, wy = vy[None, :, None], wy[None, :, None]
-    rows0, rows1 = image[:, y0], image[:, y1]
-    top = rows0[:, :, x0] * vx + rows0[:, :, x1] * wx
-    bot = rows1[:, :, x0] * vx + rows1[:, :, x1] * wx
-    return top * vy + bot * wy
-
-
-def _shorter_side_shape(image: np.ndarray, s: int) -> tuple:
-    """(H, W) of the image resized so its shorter side is s."""
-    _, h, w = image.shape
-    if h <= w:
-        return s, max(1, int(round(w * s / h)))
-    return max(1, int(round(h * s / w))), s
-
-
-def resize_shorter_side(image: np.ndarray, s: int) -> np.ndarray:
-    return resize_bilinear(image, *_shorter_side_shape(image, s))
-
-
-def _subtract_means(image: np.ndarray, means) -> np.ndarray:
-    if means is None:
-        return image
-    return image - np.asarray(means)[:, None, None]
-
-
-def augment(samples, rng: np.random.Generator, cfg: AugmentConfig) -> np.ndarray:
-    """Training-time transform of a batch: jittered resize, mean
-    subtraction, random crop, horizontal flip.
-
-    Takes a sequence of B samples whose images share their channel count C
-    (H x W may differ from sample to sample) and returns the float64 batch,
-    B x C x crop x crop. Each sample in turn draws its jitter scale, crop
-    top, crop left, then whether to flip; CropTooLarge is raised at the
-    first sample whose jittered image is smaller than the crop. Only the
-    crop windows are resampled, all B at once, with the arithmetic of
-    resize_bilinear, so each row equals the per-sample transform bit for bit.
-    """
-    crop, n = cfg.crop, len(samples)
-    c = samples[0].image.shape[0]
-    windows = []
-    for s in samples:
-        channels, h_in, w_in = s.image.shape
-        if channels != c:
-            raise ShapeMismatch(f"{c} channels like the batch's first image", s.image.shape,
-                                "augment")
-        h, w = _shorter_side_shape(s.image, int(rng.integers(cfg.jitter_min, cfg.jitter_max + 1)))
-        if crop > min(h, w):
-            raise CropTooLarge(f"crop {crop} exceeds jittered size {(h, w)}")
-        r0 = int(rng.integers(0, h - crop + 1))
-        c0 = int(rng.integers(0, w - crop + 1))
-        rows, cols = slice(r0, r0 + crop), slice(c0, c0 + crop)
-        if rng.random() < cfg.flip_prob:
-            cols = slice(c0 + crop - 1, c0 - 1 if c0 else None, -1)
-        (yi, yw), (xi, xw) = _axis_table(h_in, h), _axis_table(w_in, w)
-        windows.append((yi[0, rows], yw[:, rows], xi[0, cols], xw[:, cols]))
-    y0, yw, x0, xw = (np.array(a) for a in zip(*windows))   # B x crop, B x 2 x crop
+    n, c = len(images), images[0].shape[0]
+    y0, yw, x0, xw = [], [], [], []
+    for image, (out_h, out_w, top, left, flip) in zip(images, windows):
+        (yi, ya), (xi, xa) = _axis_table(image.shape[1], out_h), _axis_table(image.shape[2], out_w)
+        keep, across = slice(top, top + rows), slice(left, left + cols)
+        if flip:
+            across = slice(left + cols - 1, left - 1 if left else None, -1)
+        y0.append(yi[0, keep])
+        yw.append(ya[:, keep])
+        x0.append(xi[0, across])
+        xw.append(xa[:, across])
+    y0, yw, x0, xw = (np.array(a) for a in (y0, yw, x0, xw))   # B x rows, B x 2 x rows, ... cols
     # Pad each image with a copy of its last row and column. The right, lower
     # and lower-right neighbours of flat pixel i are then i + 1, i + wp and
-    # i + wp + 1 for every sample, and on the last row or column they hold
+    # i + wp + 1 for every image, and on the last row or column they hold
     # the pixel that the table's clamped second index names.
-    heights = np.array([s.image.shape[1] for s in samples])
-    widths = np.array([s.image.shape[2] for s in samples])
+    heights = np.array([image.shape[1] for image in images])
+    widths = np.array([image.shape[2] for image in images])
     hp, wp = heights.max() + 1, widths.max() + 1
     pad = np.empty((n, c, hp, wp))
-    for b, s in enumerate(samples):
-        pad[b, :, : heights[b], : widths[b]] = s.image
+    for b, image in enumerate(images):
+        pad[b, :, : heights[b], : widths[b]] = image
     every = np.arange(n)
     pad[every, :, :, widths] = pad[every, :, :, widths - 1]
     pad[every, :, heights] = pad[every, :, heights - 1]
     flat = pad.reshape(-1)
-    rows = (np.arange(n * c).reshape(n, c, 1) * hp + y0[:, None]) * wp   # B x C x crop
-    idx = rows[..., None] + x0[:, None, None]                            # upper-left pixels
+    starts = (np.arange(n * c).reshape(n, c, 1) * hp + y0[:, None]) * wp   # B x C x rows
+    idx = starts[..., None] + x0[:, None, None]                            # upper-left pixels
     size = flat.size - wp - 1
     xw, yw = xw[:, None, :, None, :], yw[:, None, :, :, None]
 
@@ -449,6 +406,42 @@ def augment(samples, rng: np.random.Generator, cfg: AugmentConfig) -> np.ndarray
 
     out = row(0)
     out += row(1)
+    return out
+
+
+def _shorter_side_shape(image: np.ndarray, s: int) -> tuple:
+    """(H, W) of the image resized so its shorter side is s."""
+    _, h, w = image.shape
+    if h <= w:
+        return s, max(1, int(round(w * s / h)))
+    return max(1, int(round(h * s / w))), s
+
+
+def augment(samples, rng: np.random.Generator, cfg: AugmentConfig) -> np.ndarray:
+    """Training-time transform of a batch: jittered resize, mean
+    subtraction, random crop, horizontal flip.
+
+    Takes a sequence of B samples whose images share their channel count C
+    (H x W may differ from sample to sample) and returns the float64 batch,
+    B x C x crop x crop. Each sample in turn draws its jitter scale, crop
+    top, crop left, then whether to flip; CropTooLarge is raised at the
+    first sample whose jittered image is smaller than the crop. The B
+    windows are then resampled in one resize_bilinear call.
+    """
+    crop = cfg.crop
+    c = samples[0].image.shape[0]
+    windows = []
+    for s in samples:
+        if s.image.shape[0] != c:
+            raise ShapeMismatch(f"{c} channels like the batch's first image", s.image.shape,
+                                "augment")
+        h, w = _shorter_side_shape(s.image, int(rng.integers(cfg.jitter_min, cfg.jitter_max + 1)))
+        if crop > min(h, w):
+            raise CropTooLarge(f"crop {crop} exceeds jittered size {(h, w)}")
+        top = int(rng.integers(0, h - crop + 1))
+        left = int(rng.integers(0, w - crop + 1))
+        windows.append((h, w, top, left, rng.random() < cfg.flip_prob))
+    out = resize_bilinear([s.image for s in samples], windows, crop, crop)
     if cfg.channel_means is not None:
         out -= np.asarray(cfg.channel_means)[:, None, None]
     return out
@@ -458,25 +451,29 @@ def eval_transform(sample: Sample, cfg: AugmentConfig) -> np.ndarray:
     """Deterministic test-time transform: eval-scale resize, mean
     subtraction, center crop. Only the crop window is resampled."""
     h, w = _shorter_side_shape(sample.image, cfg.eval_scale)
-    if cfg.crop > min(h, w):
-        raise CropTooLarge(f"crop {cfg.crop} exceeds eval size {(h, w)}")
-    window = ((h - cfg.crop) // 2, (w - cfg.crop) // 2, cfg.crop, cfg.crop)
-    img = resize_bilinear(sample.image, h, w, window=window)
-    return np.ascontiguousarray(_subtract_means(img, cfg.channel_means))
+    c = cfg.crop
+    if c > min(h, w):
+        raise CropTooLarge(f"crop {c} exceeds eval size {(h, w)}")
+    img = resize_bilinear([sample.image], [(h, w, (h - c) // 2, (w - c) // 2, False)], c, c)[0]
+    if cfg.channel_means is not None:
+        img -= np.asarray(cfg.channel_means)[:, None, None]
+    return img
 
 
 def ten_crop(sample: Sample, cfg: AugmentConfig) -> list:
     """Standard 10-crop expansion at the evaluation scale.
 
     Order: top-left, top-right, bottom-left, bottom-right, center, then
-    the horizontal flips of each in the same order.
+    the horizontal flips of each in the same order. The whole eval-scale
+    image is resampled once and the crops are sliced from it.
     """
-    img = resize_shorter_side(sample.image, cfg.eval_scale)
-    _, h, w = img.shape
+    h, w = _shorter_side_shape(sample.image, cfg.eval_scale)
     c = cfg.crop
     if c > min(h, w):
         raise CropTooLarge(f"crop {c} exceeds eval size {(h, w)}")
-    img = _subtract_means(img, cfg.channel_means)
+    img = resize_bilinear([sample.image], [(h, w, 0, 0, False)], h, w)[0]
+    if cfg.channel_means is not None:
+        img -= np.asarray(cfg.channel_means)[:, None, None]
     offsets = [(0, 0), (0, w - c), (h - c, 0), (h - c, w - c), ((h - c) // 2, (w - c) // 2)]
     crops = [np.ascontiguousarray(img[:, t : t + c, l : l + c]) for t, l in offsets]
     crops += [np.ascontiguousarray(x[:, :, ::-1]) for x in crops]

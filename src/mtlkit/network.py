@@ -124,11 +124,11 @@ class DualHeadNet:
         if x.ndim != 4 or x.shape[1] != self.config.in_channels:
             raise ShapeMismatch(f"(B, {self.config.in_channels}, H, W)", x.shape, "forward")
         trunk = (p.tensor for p in self.parameters(()))
-        h = T.relu(T.conv2d(x, next(trunk), next(trunk), padding=1))
+        h = T.relu(T.conv2d(x, next(trunk), next(trunk)))
         h = T.maxpool2d(h, 2)
         for w1, b1, w2, b2 in zip(trunk, trunk, trunk, trunk):  # the blocks, four at a time
-            y = T.relu(T.conv2d(h, w1, b1, padding=1))
-            y = T.conv2d(y, w2, b2, padding=1)
+            y = T.relu(T.conv2d(h, w1, b1))
+            y = T.conv2d(y, w2, b2)
             h = T.relu(T.add(y, h))
         conv_maps = h
         features = T.global_avg_pool(conv_maps)

@@ -1,7 +1,7 @@
 """Dense float32/float64 tensors with reverse-mode automatic differentiation.
 
 Just enough machinery for a small convolutional dual-head network: the op
-set is matmul, conv2d (which adds its per-channel bias), maxpool2d,
+set is matmul, conv2d (same-padded, with its per-channel bias), maxpool2d,
 global_avg_pool, relu, add, scale, bias_add (2-D), flatten, plus scalar
 reductions (tsum, sum_squares). Tensors
 form an implicit DAG through parent links; ``backward`` walks it in
@@ -15,8 +15,8 @@ once the node's rule has run and writes ``.grad`` only on leaves (adding
 to one already there), so one graph may be walked from several roots.
 
 Inference contract: ops inside ``with no_grad():`` return results with no
-parents, no backward rule and requires_grad False, so no im2col matrix, padded
-input or mask outlives its op; exiting, even by raising, restores the prior mode.
+parents, no backward rule and requires_grad False, so no im2col matrix or mask
+outlives its op; exiting, even by raising, restores the prior mode.
 
 Precision contract: a Tensor holds float32 data as float32 and widens
 anything else to float64. Each op computes in the dtype of its activation
@@ -38,23 +38,19 @@ Conventions fixed for determinism:
   * broadcasting is limited to bias_add over the feature axis of a 2-D
     input and conv2d's bias over the output channels.
 
-Layout: conv2d keeps its im2col matrix as (B, C*kh*kw, Ho*Wo), pixels
+Layout: conv2d keeps its im2col matrix as (B, C*kh*kw, H*W), pixels
 contiguous, so the forward pass is one batched matmul, with the bias added
 in place, whose result is already NCHW, and neither pass copies a
-transpose. A same-padded conv (stride 1, kh = kw = 2*padding + 1, so the
-output is H x W) builds the matrix without a padded copy: each tap's block
+transpose. conv2d is same-padded only (stride 1, odd kh and kw, output
+H x W), and it builds the matrix without a padded copy: each tap's block
 is one contiguous copy of the flattened image shifted by the tap's offset,
 after which the rows and columns that read outside the image are zeroed.
-Its input gradient is the same-padded im2col of the output gradient times
-the flipped kernel with its channel axes swapped. Any other geometry slices
-a zero-padded copy, one strided view per tap, and takes the input gradient
-from the output gradient dilated by the stride and framed by kh-1 / kw-1
-zeros, read at the padding offset. Both give the unpadded (B, C, H, W)
-gradient with no col2im scatter. The flat-shift matrices equal the sliced
-ones byte for byte, so the matmuls see the same operands. maxpool2d finds
-each window's winner on a stack of the k*k strided window views, then turns
-it into a flat position in x through a cached per-shape table: the forward
-pass is one ``take`` and the backward pass one scatter into zeros.
+Its input gradient is the same im2col of the output gradient times the
+flipped kernel with its channel axes swapped: the unpadded (B, C, H, W)
+gradient with no col2im scatter. maxpool2d finds each window's winner on
+a stack of the k*k strided window views, then turns it into a flat position
+in x through a cached per-shape table: the forward pass is one ``take`` and
+the backward pass one scatter into zeros.
 """
 
 from __future__ import annotations
@@ -252,25 +248,14 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
 # convolution / pooling
 
 
-def _im2col(xp, kh, kw, stride, ho, wo, off=0):
-    """im2col matrix (B, C*kh*kw, Ho*Wo) of xp, pixels contiguous: row
-    c*kh*kw + i*kw + j, column r*Wo + s holds xp[:, c, off + i + stride*r,
-    off + j + stride*s], tap (i, j) of channel c at output pixel (r, s)."""
-    bsz, c = xp.shape[:2]
-    cols = np.empty((bsz, c, kh, kw, ho, wo), xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            y, x = off + i, off + j
-            cols[:, :, i, j] = xp[:, :, y : y + stride * ho : stride, x : x + stride * wo : stride]
-    return cols.reshape(bsz, c * kh * kw, ho * wo)
-
-
 def _im2col_same(x, kh, kw):
-    """_im2col of x zero-padded by ph = (kh-1)/2 rows and pw = (kw-1)/2
-    columns at stride 1 (odd kh, kw), without the padded copy: tap (i, j) is
-    the flattened image shifted by (i-ph)*W + (j-pw), one contiguous copy,
-    and then every row and column whose source lies outside the image is
-    zeroed. That covers each position the copy skips, so none stays unset."""
+    """im2col matrix (B, C*kh*kw, H*W) of x zero-padded by ph = (kh-1)/2 rows
+    and pw = (kw-1)/2 columns (odd kh, kw), pixels contiguous: row
+    c*kh*kw + i*kw + j, column r*W + s holds x[:, c, r + i - ph, s + j - pw],
+    or 0 outside the image. There is no padded copy: tap (i, j) is the
+    flattened image shifted by (i-ph)*W + (j-pw), one contiguous copy, and
+    then every row and column whose source lies outside the image is zeroed.
+    That covers each position the copy skips, so none stays unset."""
     bsz, c, h, wd = x.shape
     ph, pw, n = kh // 2, kw // 2, h * wd
     src = x.reshape(bsz, c, n)
@@ -294,9 +279,11 @@ def _im2col_same(x, kh, kw):
     return cols.reshape(bsz, c * kh * kw, n)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of a B,C,H,W batch with O,C,kh,kw filters,
-    plus a per-output-channel bias of shape (O,)."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Same-padded 2-D cross-correlation of a B,C,H,W batch with O,C,kh,kw
+    filters (odd kh and kw) at stride 1, plus a per-output-channel bias of
+    shape (O,): the input is zero-padded by kh//2 rows and kw//2 columns, so
+    the output is B,O,H,W."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeMismatch("4-D input and weight", (x.shape, w.shape), "conv2d")
     bsz, cin, h, wd = x.shape
@@ -305,43 +292,26 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         raise ShapeMismatch(cin, cw, "conv2d channels")
     if b.shape != (cout,):
         raise ShapeMismatch((cout,), b.shape, "conv2d bias")
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    if hp < kh or wp < kw:
-        raise ShapeMismatch(f"image >= kernel {kh}x{kw}", (hp, wp), "conv2d")
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    same = stride == 1 and kh == kw == 2 * padding + 1  # output H x W, as the input
-    if same:
-        cols = _im2col_same(x.data, kh, kw)  # cached for the weight gradient
-    else:
-        xp = x.data
-        if padding:
-            xp = np.zeros((bsz, cin, hp, wp), x.data.dtype)
-            xp[:, :, padding : padding + h, padding : padding + wd] = x.data
-        cols = _im2col(xp, kh, kw, stride, ho, wo)
+    if not kh % 2 == kw % 2 == 1:
+        raise ShapeMismatch("an odd kernel height and width", (kh, kw), "conv2d")
+    cols = _im2col_same(x.data, kh, kw)  # cached for the weight gradient
     wc = w.data.astype(x.data.dtype, copy=False)
     out = np.matmul(wc.reshape(cout, -1), cols)
     out += b.data.astype(x.data.dtype, copy=False)[:, None]
 
     def bwd(g):
-        g3 = g.reshape(bsz, cout, ho * wo)
+        g3 = g.reshape(bsz, cout, h * wd)
         gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         gw = gw.astype(w.data.dtype, copy=False)
         gb = g.sum(axis=(0, 2, 3)).astype(b.data.dtype, copy=False)
         if not x.requires_grad:
             return None, gw, gb
         # the input gradient: see Layout in the module docstring
-        if same:
-            gcols = _im2col_same(g.astype(x.data.dtype, copy=False), kh, kw)
-        else:
-            gd = np.zeros((bsz, cout, hp + kh - 1, wp + kw - 1), x.data.dtype)
-            gd[:, :, kh - 1 : kh - 1 + stride * ho : stride,
-               kw - 1 : kw - 1 + stride * wo : stride] = g
-            gcols = _im2col(gd, kh, kw, 1, h, wd, off=padding)
+        gcols = _im2col_same(g.astype(x.data.dtype, copy=False), kh, kw)
         wflip = wc[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
         return np.matmul(wflip, gcols).reshape(bsz, cin, h, wd), gw, gb
 
-    return _result(out.reshape(bsz, cout, ho, wo), (x, w, b), bwd)
+    return _result(out.reshape(bsz, cout, h, wd), (x, w, b), bwd)
 
 
 @lru_cache(maxsize=64)

@@ -47,6 +47,18 @@ def _check_config(cfg):
         raise BadConfig(f"need weight_decay >= 0, lr > 0, batch_size >= 1, epochs >= 0 and "
                         f"pretrain_epochs >= 0; got {cfg.weight_decay}, {cfg.lr}, "
                         f"{cfg.batch_size}, {cfg.epochs} and {cfg.pretrain_epochs}")
+    # each range is written as "not in range", so that a NaN fails it too
+    if not 0 <= cfg.momentum < 1 or not cfg.aux_weight >= 0:
+        raise BadConfig(f"need momentum in [0, 1) and aux_weight >= 0, got {cfg.momentum} "
+                        f"and {cfg.aux_weight}")
+    if cfg.n_folds < 2:
+        raise BadConfig(f"need n_folds >= 2, got {cfg.n_folds}")
+    pl = cfg.plateau
+    if (not 0 < pl.factor <= 1 or pl.patience < 0 or not pl.min_lr >= 0
+            or not 0 <= pl.rel_threshold < 1):
+        raise BadConfig(f"need plateau.factor in (0, 1], plateau.patience >= 0, "
+                        f"plateau.min_lr >= 0 and plateau.rel_threshold in [0, 1); got "
+                        f"{pl.factor}, {pl.patience}, {pl.min_lr} and {pl.rel_threshold}")
     check_augment(cfg.augment)
 
 
@@ -273,6 +285,8 @@ def cross_validate(ds: Dataset, cfg: TrainConfig):
     """
     _check_config(cfg)
     if ds.folds is None:
+        if cfg.n_folds > len(ds):
+            raise BadConfig(f"need n_folds <= the {len(ds)} samples, got {cfg.n_folds}")
         ds = assign_folds(ds, cfg.n_folds, cfg.seed)
     fold_ids = sorted(set(int(f) for f in ds.folds))
     n = min(len(fold_ids), _usable_cpus())

@@ -358,14 +358,36 @@ def test_wrongly_typed_nested_value_is_bad_config(workspace, tmp_path, capsys, s
     assert f"{section}.{key}" in line
 
 
-@pytest.mark.parametrize("key, value", [("weight_decay", -1.0), ("epochs", -3),
-                                        ("pretrain_epochs", -1)])
+def _set(raw, key, value):
+    """Set a top-level key, or a nested one named "section.key"."""
+    *section, name = key.split(".")
+    (raw.setdefault(section[0], {}) if section else raw)[name] = value
+
+
+@pytest.mark.parametrize("key, value, need", [
+    ("weight_decay", -1.0, "weight_decay >= 0"), ("epochs", -3, "epochs >= 0"),
+    ("pretrain_epochs", -1, "pretrain_epochs >= 0"), ("momentum", 1.0, "momentum in [0, 1)"),
+    ("momentum", -5.0, "momentum in [0, 1)"), ("aux_weight", -1.0, "aux_weight >= 0"),
+    ("plateau.factor", 2.0, "plateau.factor in (0, 1]"),
+    ("plateau.factor", 0.0, "plateau.factor in (0, 1]"),
+    ("plateau.patience", -1, "plateau.patience >= 0"),
+    ("plateau.min_lr", -1.0, "plateau.min_lr >= 0"),
+    ("plateau.rel_threshold", 1.0, "plateau.rel_threshold in [0, 1)"),
+])
 @pytest.mark.parametrize("command", ["train", "cv"])
 def test_out_of_range_config_value_fails_before_any_output(workspace, tmp_path, capsys, key,
-                                                           value, command):
-    line = _run_bad_config(workspace, tmp_path, capsys, lambda raw: raw.update({key: value}),
+                                                           value, need, command):
+    line = _run_bad_config(workspace, tmp_path, capsys, lambda raw: _set(raw, key, value),
                            command)
-    assert f"{key} >= 0" in line and str(value) in line
+    assert need in line and str(value) in line
+
+
+@pytest.mark.parametrize("value", [0, 1, -2, 25])
+def test_n_folds_outside_two_to_n_is_bad_config(workspace, tmp_path, capsys, value):
+    # the workspace's manifest holds 24 samples
+    line = _run_bad_config(workspace, tmp_path, capsys,
+                           lambda raw: raw.update(n_folds=value), "cv")
+    assert "n_folds" in line and f"got {value}" in line
 
 
 @pytest.mark.parametrize("command", ["train", "cv"])

@@ -17,12 +17,12 @@ from mtlkit.data import (
     planted_correlation,
     read_ppm,
     resize_bilinear,
-    resize_shorter_side,
     save_manifest,
     synthesize,
     ten_crop,
     write_ppm,
 )
+from mtlkit.analysis import attention
 from mtlkit.errors import (
     BadSpec,
     CropTooLarge,
@@ -161,22 +161,58 @@ class TestSynthesize:
             synthesize(SynthSpec(P=2, Q=2, N=5, R=np.eye(3)))
 
 
+MIXED_SHAPES = [(3, 32, 32), (3, 23, 41), (3, 45, 19), (3, 9, 30), (3, 32, 32), (3, 60, 50)]
+
+
+def resize_reference(image, out_h, out_w):
+    """Corner-aligned bilinear resize of one C x H x W image by fancy
+    indexing, the per-image kernel that resize_bilinear replaced."""
+    c, h, w = image.shape
+    (y0, y1), (vy, wy) = _axis_table(h, out_h)
+    (x0, x1), (vx, wx) = _axis_table(w, out_w)
+    vy, wy = vy[None, :, None], wy[None, :, None]
+    rows0, rows1 = image[:, y0], image[:, y1]
+    top = rows0[:, :, x0] * vx + rows0[:, :, x1] * wx
+    bot = rows1[:, :, x0] * vx + rows1[:, :, x1] * wx
+    return top * vy + bot * wy
+
+
+def shorter_side_reference(image, s):
+    """resize_reference to the size whose shorter side is s."""
+    _, h, w = image.shape
+    if h <= w:
+        return resize_reference(image, s, max(1, int(round(w * s / h))))
+    return resize_reference(image, max(1, int(round(h * s / w))), s)
+
+
 class TestResize:
     def test_identity(self, rng):
         img = rng.random((3, 9, 11))
-        out = resize_bilinear(img, 9, 11)
-        assert np.abs(out - img).max() < 1e-9
+        out = resize_bilinear([img], [(9, 11, 0, 0, False)], 9, 11)
+        assert out.shape == (1, 3, 9, 11)
+        assert np.abs(out[0] - img).max() < 1e-9
 
     def test_constant_preserved(self):
         img = np.full((3, 8, 8), 0.3)
-        out = resize_bilinear(img, 13, 17)
+        out = resize_bilinear([img], [(13, 17, 0, 0, False)], 13, 17)
         assert np.abs(out - 0.3).max() < 1e-12
 
-    def test_shorter_side(self, rng):
-        from mtlkit.data import resize_shorter_side
-
-        out = resize_shorter_side(rng.random((3, 10, 20)), 5)
-        assert out.shape == (3, 5, 10)
+    def test_windows_equal_reference_slices(self, rng):
+        # up- and downsampling, mixed shapes, plain and mirrored windows
+        images = [rng.normal(size=shape) for shape in MIXED_SHAPES]
+        rows, cols = 7, 9
+        windows, want = [], []
+        for img in images:
+            out_h, out_w = int(rng.integers(rows, 60)), int(rng.integers(cols, 60))
+            top = int(rng.integers(0, out_h - rows + 1))
+            left = int(rng.integers(0, out_w - cols + 1))
+            flip = bool(rng.random() < 0.5)
+            windows.append((out_h, out_w, top, left, flip))
+            part = resize_reference(img, out_h, out_w)[:, top : top + rows, left : left + cols]
+            want.append(part[:, :, ::-1] if flip else part)
+        got = resize_bilinear(images, windows, rows, cols)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == np.stack(want).tobytes()
 
 
 class TestAugment:
@@ -213,7 +249,8 @@ class TestAugment:
 
 def augment_reference(sample, rng, cfg):
     """augment as full jittered resize, mean subtraction, crop, flip."""
-    img = resize_shorter_side(sample.image, int(rng.integers(cfg.jitter_min, cfg.jitter_max + 1)))
+    img = shorter_side_reference(sample.image,
+                                 int(rng.integers(cfg.jitter_min, cfg.jitter_max + 1)))
     _, h, w = img.shape
     if cfg.channel_means is not None:
         img = img - cfg.channel_means[:, None, None]
@@ -225,7 +262,7 @@ def augment_reference(sample, rng, cfg):
 
 def eval_transform_reference(sample, cfg):
     """eval_transform as full resize, mean subtraction, center crop."""
-    img = resize_shorter_side(sample.image, cfg.eval_scale) - cfg.channel_means[:, None, None]
+    img = shorter_side_reference(sample.image, cfg.eval_scale) - cfg.channel_means[:, None, None]
     _, h, w = img.shape
     top, left = (h - cfg.crop) // 2, (w - cfg.crop) // 2
     return img[:, top : top + cfg.crop, left : left + cfg.crop]
@@ -247,14 +284,39 @@ def test_windowed_transforms_equal_full_resize_then_crop(rng, shape):
     assert mine.bit_generator.state == ref.bit_generator.state
 
 
-def test_resize_window_is_slice_of_full_resize(rng):
-    img = rng.random((3, 11, 17))
-    full = resize_bilinear(img, 25, 31)
-    part = resize_bilinear(img, 25, 31, window=(4, 9, 13, 20))
-    assert part.tobytes() == np.ascontiguousarray(full[:, 4:17, 9:29]).tobytes()
+def ten_crop_reference(sample, cfg):
+    """ten_crop as full resize, mean subtraction, then the 10 slices."""
+    img = shorter_side_reference(sample.image, cfg.eval_scale)
+    if cfg.channel_means is not None:
+        img = img - np.asarray(cfg.channel_means)[:, None, None]
+    _, h, w = img.shape
+    c = cfg.crop
+    offsets = [(0, 0), (0, w - c), (h - c, 0), (h - c, w - c), ((h - c) // 2, (w - c) // 2)]
+    crops = [img[:, t : t + c, l : l + c] for t, l in offsets]
+    return crops + [x[:, :, ::-1] for x in crops]
 
 
-MIXED_SHAPES = [(3, 32, 32), (3, 23, 41), (3, 45, 19), (3, 9, 30), (3, 32, 32), (3, 60, 50)]
+@pytest.mark.parametrize("shape", [(3, 32, 32), (3, 23, 41), (3, 45, 19), (1, 9, 30),
+                                   (3, 17, 16)])
+@pytest.mark.parametrize("means", [True, False], ids=["means", "no-means"])
+def test_ten_crop_equals_reference_crops(rng, shape, means):
+    cfg = AugmentConfig(crop=13, eval_scale=19,
+                        channel_means=rng.normal(size=shape[0]) if means else None)
+    sample = Sample(rng.random(shape), np.array([1]), 1, "s")
+    got, want = ten_crop(sample, cfg), ten_crop_reference(sample, cfg)
+    assert len(got) == len(want) == 10
+    for a, b in zip(got, want):
+        assert a.dtype == np.float64 and a.flags.c_contiguous and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 16, 16), (3, 12, 22), (3, 18, 10)])
+def test_attention_upsample_equals_reference_resize(rng, shape):
+    net = DualHeadNet(NetConfig(width=4, blocks=1), 3, 2, seed=0)
+    amap = attention(net, rng.normal(size=shape), "lesion", 1, upsample=True)
+    want = resize_reference(amap.map[None], *shape[1:])[0]
+    assert amap.upsampled.flags.c_contiguous and amap.upsampled.shape == shape[1:]
+    assert amap.upsampled.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("flip_prob", [0.0, 0.5, 1.0])

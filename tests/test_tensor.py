@@ -21,19 +21,25 @@ class TestForward:
         assert np.allclose(out.data, x.data)
 
     def test_conv2d_all_ones(self):
-        # 3x3 all-ones image, single 2x2 all-ones kernel, stride 1, no padding
+        # 3x3 all-ones image and kernel, same-padded: each output counts the
+        # image pixels in its 3x3 neighbourhood
         x = t(np.ones((1, 1, 3, 3)))
-        w = t(np.ones((1, 1, 2, 2)))
+        w = t(np.ones((1, 1, 3, 3)))
         out = T.conv2d(x, w, t(np.zeros(1)))
-        assert out.shape == (1, 1, 2, 2)
-        assert np.array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
+        assert out.shape == (1, 1, 3, 3)
+        assert np.array_equal(out.data[0, 0], [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
 
-    def test_conv2d_padding_stride(self, rng):
-        x = t(rng.normal(size=(2, 3, 6, 6)))
-        w = t(rng.normal(size=(4, 3, 3, 3)))
-        b = t(rng.normal(size=4))
-        assert T.conv2d(x, w, b, padding=1).shape == (2, 4, 6, 6)
-        assert T.conv2d(x, w, b, stride=2, padding=1).shape == (2, 4, 3, 3)
+    @pytest.mark.parametrize("kernel", [(3, 3), (1, 5), (5, 1), (7, 3)])
+    def test_conv2d_keeps_the_image_size(self, rng, kernel):
+        x = t(rng.normal(size=(2, 3, 6, 5)))
+        w = t(rng.normal(size=(4, 3, *kernel)))
+        assert T.conv2d(x, w, t(rng.normal(size=4))).shape == (2, 4, 6, 5)
+
+    @pytest.mark.parametrize("kernel", [(2, 2), (3, 2), (2, 3), (4, 1)])
+    def test_conv2d_rejects_an_even_kernel(self, kernel):
+        w = t(np.ones((2, 3, *kernel)))
+        with pytest.raises(ShapeMismatch, match="odd kernel"):
+            T.conv2d(t(np.ones((1, 3, 4, 4))), w, t(np.zeros(2)))
 
     def test_conv2d_channel_mismatch(self, rng):
         with pytest.raises(ShapeMismatch):
@@ -134,7 +140,7 @@ class TestBackward:
 
         def run():
             x, w, b = t(xdata.copy()), t(wdata.copy()), t(bdata.copy())
-            out = T.tsum(T.relu(T.conv2d(x, w, b, padding=1)))
+            out = T.tsum(T.relu(T.conv2d(x, w, b)))
             T.backward(out)
             return out.data.copy(), x.grad.copy(), w.grad.copy(), b.grad.copy()
 
@@ -150,7 +156,7 @@ def every_op(rng):
     x2, w2, b2 = t(rng.normal(size=(2, 3))), t(rng.normal(size=(3, 4))), t(rng.normal(size=4))
     return [T.relu(x2), T.add(x2, x2), T.scale(x2, 2.0), T.flatten(x4), T.tsum(x2),
             T.sum_squares(x2), T.matmul(x2, w2), T.bias_add(T.matmul(x2, w2), b2),
-            T.conv2d(x4, w4, b4, padding=1), T.maxpool2d(x4, 2), T.global_avg_pool(x4)]
+            T.conv2d(x4, w4, b4), T.maxpool2d(x4, 2), T.global_avg_pool(x4)]
 
 
 class TestNoGrad:
@@ -185,7 +191,7 @@ class TestNoGrad:
 
         def run():
             x, w, b = t(xdata), t(wdata.copy()), t(bdata.copy())
-            out = T.tsum(T.maxpool2d(T.relu(T.conv2d(x, w, b, padding=1)), 2))
+            out = T.tsum(T.maxpool2d(T.relu(T.conv2d(x, w, b)), 2))
             T.backward(out)
             return out.data, x.grad, w.grad, b.grad
 
@@ -214,9 +220,8 @@ class TestPrecision:
         w4, b4 = t(rng.normal(size=(2, 3, 3, 3))), t(rng.normal(size=2))
         w2, b2 = t(rng.normal(size=(3, 2))), t(rng.normal(size=2))
         outs = [T.relu(x2), T.add(x2, x2), T.scale(x2, 2.0), T.flatten(x4), T.matmul(x2, w2),
-                T.bias_add(T.matmul(x2, w2), b2), T.conv2d(x4, w4, b4, padding=1),
-                T.conv2d(x4, w4, b4, stride=2, padding=1), T.maxpool2d(x4, 2),
-                T.global_avg_pool(x4)]
+                T.bias_add(T.matmul(x2, w2), b2), T.conv2d(x4, w4, b4),
+                T.maxpool2d(x4, 2), T.global_avg_pool(x4)]
         assert [o.data.dtype for o in outs] == [np.float32] * len(outs)
         # the scalar reductions widen their value: the loss roots are float64 too
         outs += [T.tsum(x2), T.sum_squares(x2)]
@@ -226,7 +231,7 @@ class TestPrecision:
             assert [g.dtype for g in grads] == [p.data.dtype for p in out._parents]
         # leaves: the float32 activation gets a float32 .grad, the parameters float64
         T.backward(T.tsum(T.bias_add(T.matmul(T.flatten(T.conv2d(x4, w4, b4)),
-                                              t(rng.normal(size=(8, 2)))), b2)))
+                                              t(rng.normal(size=(32, 2)))), b2)))
         assert x4.grad.dtype == np.float32
         assert w4.grad.dtype == b4.grad.dtype == b2.grad.dtype == np.float64
 
@@ -246,13 +251,13 @@ class TestGradientCheck:
         x = t(rng.uniform(-1, 1, size=(2, 2, 5, 5)))
         w = t(rng.uniform(-1, 1, size=(3, 2, 3, 3)))
         b = t(rng.uniform(-1, 1, size=3))
-        check_gradients(lambda: T.tsum(T.relu(T.conv2d(x, w, b, padding=1))), [x, w, b])
+        check_gradients(lambda: T.tsum(T.relu(T.conv2d(x, w, b))), [x, w, b])
 
-    def test_conv2d_strided(self, rng):
-        x = t(rng.uniform(-1, 1, size=(1, 2, 6, 6)))
-        w = t(rng.uniform(-1, 1, size=(2, 2, 3, 3)))
+    def test_conv2d_non_square_kernel(self, rng):
+        x = t(rng.uniform(-1, 1, size=(1, 2, 4, 6)))
+        w = t(rng.uniform(-1, 1, size=(2, 2, 1, 5)))
         b = t(rng.uniform(-1, 1, size=2))
-        check_gradients(lambda: T.tsum(T.conv2d(x, w, b, stride=2)), [x, w, b])
+        check_gradients(lambda: T.tsum(T.conv2d(x, w, b)), [x, w, b])
 
     def test_maxpool(self, rng):
         x = t(rng.uniform(-1, 1, size=(2, 2, 4, 4)))
@@ -282,26 +287,26 @@ class TestGradientCheck:
 # kernels against direct-loop references
 
 
-def conv2d_loop(x, w, bias, g, stride, padding):
-    """Direct-loop cross-correlation plus bias: (output, weight grad, input
-    grad, bias grad) for upstream gradient g."""
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    bsz, _, hp, wp = xp.shape
+def conv2d_loop(x, w, bias, g):
+    """Direct-loop same-padded cross-correlation plus bias, with x zero-padded
+    by kh//2 rows and kw//2 columns: (output, weight grad, input grad, bias
+    grad) for upstream gradient g."""
     cout, _, kh, kw = w.shape
-    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    out = np.zeros((bsz, cout, ho, wo))
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    bsz, _, h, wd = x.shape
+    out = np.zeros((bsz, cout, h, wd))
     gw = np.zeros_like(w)
     gxp = np.zeros_like(xp)
     for b in range(bsz):
         for o in range(cout):
-            for r in range(ho):
-                for c in range(wo):
-                    rows = slice(r * stride, r * stride + kh)
-                    cols = slice(c * stride, c * stride + kw)
+            for r in range(h):
+                for c in range(wd):
+                    rows, cols = slice(r, r + kh), slice(c, c + kw)
                     out[b, o, r, c] = np.sum(xp[b, :, rows, cols] * w[o]) + bias[o]
                     gw[o] += g[b, o, r, c] * xp[b, :, rows, cols]
                     gxp[b, :, rows, cols] += g[b, o, r, c] * w[o]
-    gx = gxp[:, :, padding : hp - padding, padding : wp - padding]
+    gx = gxp[:, :, ph : ph + h, pw : pw + wd]
     return out, gw, gx, g.sum((0, 2, 3))
 
 
@@ -335,26 +340,24 @@ def vjp(out, g):
 
 class TestKernelReference:
     @pytest.mark.parametrize("bsz", [1, 20])
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, 1, 2])
-    def test_conv2d_matches_loop(self, rng, bsz, stride, padding):
-        # padding 2 is >= the kernel width
-        self.check_conv2d(rng, bsz, (3, 2), stride, padding)
+    @pytest.mark.parametrize("kernel", [(3, 3), (5, 3), (3, 7), (9, 1)])
+    def test_conv2d_matches_loop(self, rng, bsz, kernel):
+        # on the 7 x 5 image, a 7-wide or 9-tall kernel reaches past both edges
+        self.check_conv2d(rng, bsz, kernel)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, 1])
-    def test_conv2d_1x1_matches_loop(self, rng, stride, padding):
-        self.check_conv2d(rng, 2, (1, 1), stride, padding)
+    @pytest.mark.parametrize("bsz", [1, 2])
+    def test_conv2d_1x1_matches_loop(self, rng, bsz):
+        self.check_conv2d(rng, bsz, (1, 1))
 
     @staticmethod
-    def check_conv2d(rng, bsz, kernel, stride, padding):
+    def check_conv2d(rng, bsz, kernel):
         x = t(rng.normal(size=(bsz, 3, 7, 5)))
         w = t(rng.normal(size=(4, 3, *kernel)))
         b = t(rng.normal(size=4))
-        out = T.conv2d(x, w, b, stride=stride, padding=padding)
+        out = T.conv2d(x, w, b)
         g = rng.normal(size=out.shape)
         vjp(out, g)
-        ref_out, ref_gw, ref_gx, ref_gb = conv2d_loop(x.data, w.data, b.data, g, stride, padding)
+        ref_out, ref_gw, ref_gx, ref_gb = conv2d_loop(x.data, w.data, b.data, g)
         assert out.data.flags.c_contiguous
         np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
         np.testing.assert_allclose(w.grad, ref_gw, rtol=0, atol=1e-12)
@@ -365,10 +368,10 @@ class TestKernelReference:
         x = t(rng.normal(size=(2, 3, 6, 4)), grad=False)
         w = t(rng.normal(size=(2, 3, 3, 3)))
         b = t(rng.normal(size=2))
-        out = T.conv2d(x, w, b, padding=1)
+        out = T.conv2d(x, w, b)
         g = rng.normal(size=out.shape)
         vjp(out, g)
-        _, ref_gw, _, ref_gb = conv2d_loop(x.data, w.data, b.data, g, 1, 1)
+        _, ref_gw, _, ref_gb = conv2d_loop(x.data, w.data, b.data, g)
         assert x.grad is None
         np.testing.assert_allclose(w.grad, ref_gw, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.grad, ref_gb, rtol=0, atol=1e-12)
@@ -480,7 +483,7 @@ class TestBitwisePins:
         x.data[x.data < -1.5] = -0.0  # signed zeros must survive both the copy and the frame
         w = t(rng.normal(size=(cout, shape[1], kernel, kernel)))
         b = t(rng.normal(size=cout))
-        out = T.conv2d(x, w, b, padding=kernel // 2)
+        out = T.conv2d(x, w, b)
         g = rng.normal(size=out.shape).astype(dtype)
         g[g < -1.5] = -0.0
         vjp(out, g)

@@ -17,6 +17,7 @@ from mtlkit.data import (
 )
 from mtlkit.errors import BadConfig, EmptyDataset, NonFiniteLoss, WorkerDied
 from mtlkit.network import DualHeadNet, NetConfig, load_checkpoint, save_checkpoint
+from mtlkit.optim import PlateauConfig
 from mtlkit.training import (
     TrainConfig,
     cross_validate,
@@ -222,9 +223,15 @@ class TestObjectiveAndValidation:
 
 class TestConfigAndEmptyInputs:
     @pytest.mark.parametrize("mode", ["mtl", "lesion_only", "location_only"])
-    @pytest.mark.parametrize("bad", [dict(weight_decay=-1e-4), dict(lr=0.0), dict(lr=-0.1),
-                                     dict(batch_size=0), dict(epochs=-3),
-                                     dict(pretrain_epochs=-1)])
+    @pytest.mark.parametrize("bad", [
+        dict(weight_decay=-1e-4), dict(lr=0.0), dict(lr=-0.1), dict(batch_size=0),
+        dict(epochs=-3), dict(pretrain_epochs=-1), dict(momentum=1.0), dict(momentum=-0.1),
+        dict(aux_weight=-1.0), dict(aux_weight=float("nan")), dict(n_folds=1),
+        dict(plateau=PlateauConfig(factor=2.0)), dict(plateau=PlateauConfig(min_lr=float("nan"))),
+        dict(plateau=PlateauConfig(factor=0.0)), dict(plateau=PlateauConfig(patience=-1)),
+        dict(plateau=PlateauConfig(min_lr=-1.0)), dict(plateau=PlateauConfig(rel_threshold=1.0)),
+        dict(plateau=PlateauConfig(rel_threshold=-0.1)),
+    ])
     def test_bad_values_rejected_in_every_mode(self, mode, bad):
         ds = tiny_dataset(9)
         cfg = tiny_config(mode=mode, **bad)
@@ -233,6 +240,11 @@ class TestConfigAndEmptyInputs:
             train(net, ds.samples, None, cfg)
         with pytest.raises(BadConfig):
             cross_validate(ds, cfg)
+
+    def test_more_folds_than_samples_fails_before_any_fork(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("cross_validate forked"))
+        with pytest.raises(BadConfig, match="n_folds <= the 9 samples, got 10"):
+            cross_validate(tiny_dataset(9), tiny_config(n_folds=10))
 
     def test_empty_inputs_raise_empty_dataset(self):
         ds = tiny_dataset(6)
@@ -451,7 +463,10 @@ class TestParallelFolds:
             if os.getpid() == parent:
                 trained.append(cfg.seed)
                 if cfg.seed == 0:   # end fold 0 only once the child has exited
-                    os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+                    try:
+                        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+                    except ChildProcessError:
+                        pass   # it exited before fold 0 began and stop(0) reaped it
             return real(net, train_samples, val_samples, cfg, on_epoch)
 
         monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
