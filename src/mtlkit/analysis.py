@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,12 @@ from .network import DualHeadNet
 class FeatureIndex:
     features: np.ndarray   # N x K pooled trunk features
     ids: list
+    # each id's place in the sorted distinct ids, computed once: retrieve
+    # breaks distance ties on it instead of comparing the id strings
+    rank: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rank = np.unique(np.asarray(self.ids), return_inverse=True)[1]
 
 
 @dataclass
@@ -56,7 +62,7 @@ def retrieve(index: FeatureIndex, query: np.ndarray, k: int) -> list:
     if not 1 <= k <= n:
         raise BadK(f"k must lie in 1..{n}, got {k}")
     dists = np.sqrt(((index.features - np.asarray(query)) ** 2).sum(axis=1))
-    order = np.lexsort((np.asarray(index.ids), dists))[:k]
+    order = np.lexsort((index.rank, dists))[:k]
     return [(index.ids[i], float(dists[i])) for i in order]
 
 

@@ -17,8 +17,12 @@ the resample.
 Manifest format: JSON-lines. The first line is a header
 ``{"lesions": [...], "locations": [...]}``; every following line is a
 record ``{"id", "image", "lesions", "location"}`` with the image path
-relative to the manifest. Images are 8-bit binary PPM (P6), scaled to
-[0, 1] on load.
+relative to the manifest. Images are 8-bit binary PPM (P6). A loaded
+image is held as its C x H x W uint8 levels, one byte a pixel value, and
+level L stands for L / 255.0: ``resize_bilinear`` and ``channel_means``
+scale the levels to float64 where they read them, and ``write_ppm``
+writes them back unchanged. Images made in memory (``synthesize``) are
+float64 in [0, 1]; every transform takes either form, or a mix of both.
 
 The synthetic generator plants a row-stochastic lesion-by-location
 correlation matrix: each sample draws a primary lesion uniformly, draws
@@ -50,7 +54,7 @@ from .errors import (
 
 @dataclass
 class Sample:
-    image: np.ndarray        # C x H x W float64
+    image: np.ndarray        # C x H x W: uint8 levels when read from a PPM, else float64
     u: np.ndarray            # binary lesion vector, length P
     v: int                   # 1-based location index
     id: str
@@ -103,17 +107,21 @@ class AugmentConfig:
 
 
 def write_ppm(path, image: np.ndarray):
-    """Write a C x H x W float image in [0, 1] as binary 8-bit P6."""
+    """Write a C x H x W image, uint8 levels or floats in [0, 1], as binary
+    8-bit P6."""
     c, h, w = image.shape
     if c != 3:
         raise ShapeMismatch("3 channels", image.shape, "write_ppm")
-    data = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+    data = image
+    if data.dtype != np.uint8:
+        data = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode())
         f.write(data.transpose(1, 2, 0).tobytes())
 
 
 def read_ppm(path) -> np.ndarray:
+    """The C x H x W uint8 levels of a binary 8-bit P6 file, C-contiguous."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -136,10 +144,12 @@ def read_ppm(path) -> np.ndarray:
     if fields[0] != b"P6" or not all(f.isdigit() for f in fields[1:]) or int(fields[3]) != 255:
         raise ParseError(0, f"{path}: not an 8-bit P6 PPM")
     w, h = int(fields[1]), int(fields[2])
+    if w == 0 or h == 0:
+        raise ParseError(0, f"{path}: zero-size image ({w} x {h})")
     if len(raw) - pos < w * h * 3:
         raise ParseError(0, f"{path}: pixel data truncated")
     pix = np.frombuffer(raw, dtype=np.uint8, count=w * h * 3, offset=pos)
-    return pix.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
+    return np.ascontiguousarray(pix.reshape(h, w, 3).transpose(2, 0, 1))
 
 
 def write_pgm(path, image: np.ndarray):
@@ -327,12 +337,23 @@ def assign_folds(ds: Dataset, n_folds: int, seed: int = 0) -> Dataset:
 
 
 def channel_means(samples) -> np.ndarray:
-    """Per-channel pixel means over a sample collection."""
+    """Per-channel pixel means over a sample collection.
+
+    A float image's values are summed as numpy sums its C x (H*W) view. A
+    uint8 image's values, L / 255.0, are summed in the file's H x W x C
+    pixel order, one pixel after another: the fitted means of a loaded
+    dataset keep the bits they had when loaded images were float64 views
+    in that order.
+    """
     c = samples[0].image.shape[0]
     total = np.zeros(c)
     count = 0
     for s in samples:
-        total += s.image.reshape(c, -1).sum(axis=1)
+        if s.image.dtype == np.uint8:
+            pixels = np.ascontiguousarray(s.image.transpose(1, 2, 0)).reshape(-1, c) / 255.0
+            total += pixels.sum(axis=0)
+        else:
+            total += s.image.reshape(c, -1).sum(axis=1)
         count += s.image.shape[1] * s.image.shape[2]
     return total / count
 
@@ -361,6 +382,8 @@ def resize_bilinear(images, windows, rows: int, cols: int) -> np.ndarray:
     of the result are kept, mirrored left to right when flip is true, and
     only those pixels are computed. Returns the float64 B x C x rows x cols
     batch, C-contiguous. Every image reads the tables of ``_axis_table``.
+    An image may be float64 or uint8 levels, which are divided by 255.0 as
+    they are copied in; a batch may mix the two.
     """
     n, c = len(images), images[0].shape[0]
     y0, yw, x0, xw = [], [], [], []
@@ -383,7 +406,11 @@ def resize_bilinear(images, windows, rows: int, cols: int) -> np.ndarray:
     hp, wp = heights.max() + 1, widths.max() + 1
     pad = np.empty((n, c, hp, wp))
     for b, image in enumerate(images):
-        pad[b, :, : heights[b], : widths[b]] = image
+        region = pad[b, :, : heights[b], : widths[b]]
+        if image.dtype == np.uint8:
+            np.divide(image, 255.0, out=region)
+        else:
+            region[...] = image
     every = np.arange(n)
     pad[every, :, :, widths] = pad[every, :, :, widths - 1]
     pad[every, :, heights] = pad[every, :, heights - 1]

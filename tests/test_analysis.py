@@ -79,6 +79,21 @@ class TestRetrieval:
         for (_, da), (_, db) in zip(a, b):
             assert abs(da - db) < 1e-9
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ranked_ids_order_like_the_id_strings(self, seed):
+        # ties, NaN and inf distances and duplicate ids, checked against the
+        # string lexsort that the precomputed id rank replaced
+        rng = np.random.default_rng(seed)
+        n = 12
+        feats = rng.choice([0.0, 1.0, 1.0, 2.5, np.nan, np.inf, -np.inf], size=(n, 1))
+        ids = [str(x) for x in rng.choice(["b", "a", "s10", "s2", "a0", ""], size=n)]
+        index = FeatureIndex(feats, ids)
+        dists = np.sqrt(((feats - np.zeros(1)) ** 2).sum(axis=1))
+        oracle = np.lexsort((np.asarray(ids), dists))
+        for k in range(1, n + 1):
+            got = [(sid, repr(d)) for sid, d in retrieve(index, np.zeros(1), k)]
+            assert got == [(ids[i], repr(float(dists[i]))) for i in oracle[:k]]
+
 
 class TestIndex:
     def test_duplicate_images_identical_rows(self, rng):

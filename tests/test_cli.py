@@ -315,6 +315,20 @@ def test_truncated_ppm_fails_in_one_line(workspace, tmp_path, capsys):
     _single_error(capsys, "ParseError")
 
 
+def test_zero_size_ppm_fails_train_in_one_line(workspace, tmp_path, capsys):
+    import shutil
+
+    data_dir = tmp_path / "data"
+    shutil.copytree(os.path.dirname(workspace["manifest"]), data_dir)
+    first = json.loads(open(data_dir / "manifest.jsonl").read().splitlines()[1])
+    (data_dir / first["image"]).write_bytes(b"P6 0 0 255\n")
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(dict(TINY_TRAIN, manifest=str(data_dir / "manifest.jsonl"))))
+    capsys.readouterr()
+    assert main(["train", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 1
+    assert "zero-size image" in _single_error(capsys, "ParseError")
+
+
 def _run_bad_config(workspace, tmp_path, capsys, edit, command="train"):
     raw = json.loads(open(workspace["cfg_path"]).read())
     edit(raw)

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from mtlkit.data import (
     AugmentConfig,
+    Dataset,
     Sample,
     SynthSpec,
     _axis_table,
@@ -54,8 +57,24 @@ class TestPpm:
         path = tmp_path / "round_trip.ppm"
         write_ppm(path, img)
         loaded = read_ppm(path)
-        assert loaded.shape == (3, 5, 7)
-        assert np.abs(loaded - img).max() <= 0.5 / 255 + 1e-12
+        assert loaded.shape == (3, 5, 7) and loaded.dtype == np.uint8
+        assert loaded.flags.c_contiguous
+        assert np.abs(loaded / 255.0 - img).max() <= 0.5 / 255 + 1e-12
+
+    def test_levels_are_the_file_bytes(self, tmp_path):
+        levels = np.arange(3 * 4 * 6, dtype=np.uint8).reshape(4, 6, 3)
+        path = tmp_path / "levels.ppm"
+        path.write_bytes(b"P6\n6 4\n255\n" + levels.tobytes())
+        assert np.array_equal(read_ppm(path), levels.transpose(2, 0, 1))
+        write_ppm(tmp_path / "again.ppm", read_ppm(path))
+        assert (tmp_path / "again.ppm").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("w, h", [(0, 0), (0, 5), (5, 0)])
+    def test_zero_size_is_parse_error(self, tmp_path, w, h):
+        path = tmp_path / "empty.ppm"
+        path.write_bytes(f"P6\n{w} {h}\n255\n".encode())
+        with pytest.raises(ParseError, match="zero-size image"):
+            read_ppm(path)
 
     @pytest.mark.parametrize("name", ["absent.ppm", "."], ids=["missing", "directory"])
     def test_unreadable_path_is_parse_error(self, tmp_path, name):
@@ -124,7 +143,38 @@ class TestManifest:
         assert [s.id for s in loaded.samples] == [s.id for s in ds.samples]
         for a, b in zip(loaded.samples, ds.samples):
             assert np.array_equal(a.u, b.u) and a.v == b.v
-            assert np.abs(a.image - b.image).max() <= 0.5 / 255 + 1e-12
+            assert a.image.dtype == np.uint8
+            assert np.abs(a.image / 255.0 - b.image).max() <= 0.5 / 255 + 1e-12
+
+    def test_saving_a_loaded_dataset_rewrites_the_same_bytes(self, tmp_path):
+        spec = SynthSpec(P=3, Q=2, N=6, R=planted_correlation(3, 2, 0.8), image_size=(3, 9, 13),
+                         seed=2)
+        first = save_manifest(synthesize(spec), tmp_path / "first")
+        second = save_manifest(load_manifest(first), tmp_path / "second")
+        assert open(second, "rb").read() == open(first, "rb").read()
+        for s in load_manifest(first).samples:
+            rel = f"images/{s.id}.ppm"
+            again = (tmp_path / "second" / rel).read_bytes()
+            assert again == (tmp_path / "first" / rel).read_bytes()
+
+    def test_loaded_images_hold_one_byte_a_value(self, tmp_path):
+        n, shape = 10, (3, 48, 64)
+        rng = np.random.default_rng(0)
+        ds = Dataset([Sample(rng.random(shape), np.array([1, 0]), 1, f"s{i}") for i in range(n)],
+                     ["a", "b"], ["x", "y"])
+        manifest = save_manifest(ds, tmp_path)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_manifest(manifest)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        size = int(np.prod(shape))
+        assert held < 2 * n * size   # float64 pixels would hold 8 * n * size
+        assert [s.image.nbytes for s in loaded.samples] == [size] * n
 
 
 class TestSynthesize:
@@ -467,3 +517,62 @@ def test_eval_transform_center_crop(rng):
     cfg = AugmentConfig(crop=4, eval_scale=8)
     out = eval_transform(Sample(img, np.array([1]), 1, "s"), cfg)
     assert np.array_equal(out, img[:, 2:6, 2:6])
+
+
+# Images read from a PPM are held as uint8 levels, and level L stands for
+# L / 255.0: every transform gives the same bytes for either form.
+
+
+def level_samples(rng, shapes):
+    """uint8 samples, the same as float64 levels / 255.0, and the same as
+    float64 laid out in the file's H x W x C pixel order (a float64 view of
+    the file's bytes, as ``astype`` of the read buffer lays it out)."""
+    levels = [rng.integers(0, 256, size=shape, dtype=np.uint8) for shape in shapes]
+    forms = ([img for img in levels], [img / 255.0 for img in levels],
+             [np.ascontiguousarray(img.transpose(1, 2, 0)).transpose(2, 0, 1) / 255.0
+              for img in levels])
+    return [[Sample(img, np.array([1]), 1, f"s{i}") for i, img in enumerate(form)]
+            for form in forms]
+
+
+def mix(a, b):
+    return [x if i % 2 else y for i, (x, y) in enumerate(zip(a, b))]
+
+
+def test_resize_reads_levels_as_their_scaled_values(rng):
+    levels, floats, file_order = level_samples(rng, MIXED_SHAPES)
+    rows, cols = 8, 10
+    windows = []
+    for s in floats:
+        out_h, out_w = int(rng.integers(rows, 50)), int(rng.integers(cols, 50))
+        windows.append((out_h, out_w, int(rng.integers(0, out_h - rows + 1)),
+                        int(rng.integers(0, out_w - cols + 1)), bool(rng.random() < 0.5)))
+    want = resize_bilinear([s.image for s in floats], windows, rows, cols).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for batch in (levels, mix(levels, floats), file_order):
+            assert resize_bilinear([s.image for s in batch], windows, rows, cols).tobytes() == want
+
+
+@pytest.mark.parametrize("means", [True, False], ids=["means", "no-means"])
+def test_transforms_of_levels_equal_transforms_of_floats(rng, means):
+    cfg = AugmentConfig(crop=13, eval_scale=19, jitter_min=19, jitter_max=25,
+                        channel_means=rng.normal(size=3) if means else None)
+    levels, floats, file_order = level_samples(rng, MIXED_SHAPES)
+    want = augment(floats, np.random.default_rng(4), cfg).tobytes()
+    for batch in (levels, mix(levels, floats), file_order):
+        assert augment(batch, np.random.default_rng(4), cfg).tobytes() == want
+    for a, b in zip(levels, floats):
+        assert eval_transform(a, cfg).tobytes() == eval_transform(b, cfg).tobytes()
+        for x, y in zip(ten_crop(a, cfg), ten_crop(b, cfg)):
+            assert x.flags.c_contiguous and x.tobytes() == y.tobytes()
+
+
+def test_channel_means_of_levels_sum_in_the_file_pixel_order(rng):
+    # numpy sums a C x (H*W) view of a C-contiguous float image pairwise but
+    # a view of a pixel-ordered one value by value; levels keep the latter
+    levels, floats, file_order = level_samples(rng, MIXED_SHAPES)
+    want = channel_means(file_order)
+    assert channel_means(levels).tobytes() == want.tobytes()
+    assert channel_means(mix(levels, file_order)).tobytes() == want.tobytes()
+    assert np.allclose(channel_means(floats), want, rtol=0, atol=1e-15)
