@@ -22,6 +22,7 @@ from .data import (
     AugmentConfig,
     SynthSpec,
     eval_transform,
+    labels,
     load_manifest,
     planted_correlation,
     save_manifest,
@@ -43,7 +44,7 @@ from .training import (
     _check_config,
     check_augment,
     cross_validate,
-    fold_metrics,
+    evaluate_scores,
     train,
 )
 
@@ -125,8 +126,8 @@ def _run_config(args):
 
 
 def _load_model(checkpoint, manifest):
-    """The net and fitted AugmentConfig of a checkpoint, and a manifest's
-    dataset of matching dimensions."""
+    """The net, fitted AugmentConfig and mode of a checkpoint, and a
+    manifest's dataset of matching dimensions."""
     net, _, state = load_checkpoint(checkpoint)
     if "augment" not in state:
         raise CheckpointError(f"{checkpoint}: state blob lacks augment")
@@ -145,7 +146,7 @@ def _load_model(checkpoint, manifest):
         raise DimensionMismatch(
             f"checkpoint has P={net.P}, Q={net.Q}; dataset has P={ds.P}, Q={ds.Q}"
         )
-    return net, aug, ds
+    return net, aug, state.get("mode", "mtl"), ds
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +226,9 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    net, aug, ds = _load_model(args.checkpoint, args.manifest)
-    report, les_sm, loc_sm = fold_metrics(net, ds.samples, aug,
-                                          TrainConfig(use_ten_crop=args.ten_crop))
+    net, aug, mode, ds = _load_model(args.checkpoint, args.manifest)
+    les_sm, loc_sm = evaluate_scores(net, ds.samples, aug, use_ten_crop=args.ten_crop)
+    report = metrics.task_report(TASKS[mode], (les_sm, loc_sm), *labels(ds.samples))
     _name_lesion_classes(report, ds.lesion_names)
     report["ten_crop"] = bool(args.ten_crop)
     if args.scores_out:
@@ -254,13 +255,10 @@ def cmd_ensemble(args):
     if unlabelled:
         raise MatrixMismatch(f"{len(unlabelled)} score id(s) absent from {args.labels}, "
                              f"first {unlabelled[0]!r}")
-    samples = [by_id[i] for i in combined.ids]
-    report = {"method": args.method, "kind": args.kind}
-    if args.kind == "lesion":
-        report.update(metrics.lesion_report(combined, np.stack([s.u for s in samples])))
-        _name_lesion_classes(report, names)
-    else:
-        report.update(metrics.location_report(combined, np.array([s.v for s in samples])))
+    report = {"method": args.method, "kind": args.kind,
+              **metrics.task_report((args.kind,), (combined,),
+                                    *labels([by_id[i] for i in combined.ids]))}
+    _name_lesion_classes(report, names)
     _emit_report(report, args.report_out)
     return 0
 
@@ -289,7 +287,7 @@ def cmd_correlate(args):
 
 
 def cmd_retrieve(args):
-    net, aug, index_ds = _load_model(args.checkpoint, args.manifest)
+    net, aug, _, index_ds = _load_model(args.checkpoint, args.manifest)
     queries = load_manifest(args.queries) if args.queries else index_ds
     index = analysis.build_index(net, index_ds, aug)
     report = analysis.retrieval_report(net, index, index_ds, queries, args.k, aug)
@@ -298,7 +296,7 @@ def cmd_retrieve(args):
 
 
 def cmd_attention(args):
-    net, aug, ds = _load_model(args.checkpoint, args.manifest)
+    net, aug, _, ds = _load_model(args.checkpoint, args.manifest)
     by_id = {s.id: s for s in ds.samples}
     if args.id not in by_id:
         raise BadSpec(f"sample id {args.id!r} not found in manifest")
@@ -317,7 +315,10 @@ def cmd_attention(args):
 
 
 def _name_lesion_classes(report, names):
-    """Key a lesion report's per_class_ap, and list its excluded_classes, by class name."""
+    """Key a report's per_class_ap, and list its excluded_classes, by class
+    name; a report without the lesion task is left as it is."""
+    if "per_class_ap" not in report:
+        return
     report["per_class_ap"] = dict(zip(names, report["per_class_ap"]))
     report["excluded_classes"] = [names[i] for i in report["excluded_classes"]]
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,7 +65,6 @@ class Dataset:
     samples: list
     lesion_names: list
     location_names: list
-    folds: np.ndarray | None = None
 
     @property
     def P(self) -> int:
@@ -323,17 +322,23 @@ def synthesize(spec: SynthSpec) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# folds and transforms
+# folds, labels and transforms
 
 
-def assign_folds(ds: Dataset, n_folds: int, seed: int = 0) -> Dataset:
-    """Seeded partition into n_folds of near-equal size (diff <= 1)."""
-    if n_folds < 2 or n_folds > len(ds):
-        raise BadSpec(f"cannot split {len(ds)} samples into {n_folds} folds")
-    perm = np.random.default_rng(seed).permutation(len(ds))
-    folds = np.empty(len(ds), dtype=np.int64)
-    folds[perm] = np.arange(len(ds)) % n_folds
-    return replace(ds, folds=folds)
+def assign_folds(n: int, n_folds: int, seed: int = 0) -> np.ndarray:
+    """Seeded fold index of each of n samples: n_folds folds of near-equal
+    size (diff <= 1)."""
+    if n_folds < 2 or n_folds > n:
+        raise BadSpec(f"cannot split {n} samples into {n_folds} folds")
+    folds = np.empty(n, dtype=np.int64)
+    folds[np.random.default_rng(seed).permutation(n)] = np.arange(n) % n_folds
+    return folds
+
+
+def labels(samples) -> tuple:
+    """The stacked labels of a non-empty sample list: (N x P lesion vectors,
+    N 1-based locations)."""
+    return np.stack([s.u for s in samples]), np.array([s.v for s in samples])
 
 
 def channel_means(samples) -> np.ndarray:

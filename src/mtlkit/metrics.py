@@ -97,24 +97,28 @@ def top_k_accuracy(s: ScoreMatrix, v, k: int) -> float:
         raise MatrixMismatch(f"locations {v.shape} do not match scores {(n, q)}")
     if n and not (1 <= v.min() and v.max() <= q):
         raise MatrixMismatch(f"locations must lie in 1..{q}, got {v.min()}..{v.max()}")
-    hits = 0
-    for i in range(n):
-        top = np.argsort(-s.scores[i], kind="stable")[:k]
-        hits += int(v[i] - 1 in top)
-    return hits / n
+    top = np.argsort(-s.scores, axis=1, kind="stable")[:, :k]
+    return int((top == (v - 1)[:, None]).any(axis=1).sum()) / n
 
 
-def lesion_report(s: ScoreMatrix, u) -> dict:
-    """map_class, map_image, per_class_ap and excluded_classes (indices)."""
-    m_class, per_class, excluded = map_class(s, u)
-    return {"map_class": m_class, "map_image": map_image(s, u)[0],
-            "per_class_ap": per_class, "excluded_classes": excluded}
-
-
-def location_report(s: ScoreMatrix, v) -> dict:
-    """top1, and top3 (top-Q when there are fewer than 3 locations)."""
-    return {"top1": top_k_accuracy(s, v, 1),
-            "top3": top_k_accuracy(s, v, min(3, s.scores.shape[1]))}
+def task_report(tasks, scores, u, v) -> dict:
+    """The report fields of each task in tasks (names as in objective.TASKS),
+    read off the ScoreMatrix of that kind among scores, against labels u
+    (N x P) and v (N, 1-based): lesion gives map_class, map_image,
+    per_class_ap and excluded_classes (indices), location top1 and top3
+    (top-Q when there are fewer than 3 locations)."""
+    by_kind = {s.kind: s for s in scores}
+    report = {}
+    if "lesion" in tasks:
+        s = by_kind["lesion"]
+        m_class, per_class, excluded = map_class(s, u)
+        report.update(map_class=m_class, map_image=map_image(s, u)[0],
+                      per_class_ap=per_class, excluded_classes=excluded)
+    if "location" in tasks:
+        s = by_kind["location"]
+        report.update(top1=top_k_accuracy(s, v, 1),
+                      top3=top_k_accuracy(s, v, min(3, s.scores.shape[1])))
+    return report
 
 
 def correlation_matrix(ds) -> CorrelationMatrix:

@@ -231,6 +231,9 @@ def load_checkpoint(path):
     missing = [k for k in ("config", "P", "Q", "seed") if k not in state]
     if missing:
         raise CheckpointError(f"{path}: state blob lacks {', '.join(missing)}")
+    mode = state.get("mode", "mtl")   # a state without one is read as an mtl run's
+    if not isinstance(mode, str) or mode not in TASKS:
+        raise CheckpointError(f"{path}: unknown mode {mode!r}, not one of {tuple(TASKS)}")
     try:
         config, P, Q = NetConfig(**state.pop("config")), state.pop("P"), state.pop("Q")
         # check the shapes before building: a huge P or width would allocate
@@ -241,9 +244,6 @@ def load_checkpoint(path):
                                   f"net config, P={P!r} and Q={Q!r}")
         if buffers:
             # one per parameter the stored mode trains; every parameter without a mode
-            mode = state.get("mode", "mtl")
-            if not isinstance(mode, str) or mode not in TASKS:
-                raise CheckpointError(f"{path}: momentum buffers for an unknown mode {mode!r}")
             trained = [shape for _, shape, _, task in table if task in (None, *TASKS[mode])]
             if [b.shape for b in buffers] != trained:
                 raise CheckpointError(f"{path}: stored momentum buffers do not match the "

@@ -119,7 +119,7 @@ def joint_loss(lesion_logits: Tensor, location_logits: Tensor, u, v,
     if les is None or loc is None:
         node = les if loc is None else loc
     else:
-        node = T.add(les, loc) if aux_weight == 1.0 else T.add(les, T.scale(loc, aux_weight))
+        node = T.add(les, T.scale(loc, aux_weight))
     breakdown = LossBreakdown(
         lesion_loss=None if les is None else float(les.data),
         location_loss=None if loc is None else float(loc.data),

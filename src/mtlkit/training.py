@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import metrics, objective
-from .data import AugmentConfig, Dataset, assign_folds, augment, channel_means, eval_transform, ten_crop
+from .data import (AugmentConfig, Dataset, assign_folds, augment, channel_means, eval_transform,
+                   labels, ten_crop)
 from .errors import BadConfig, EmptyDataset, NonFiniteLoss, WorkerDied
 from .network import DualHeadNet, NetConfig
 from .optim import SGD, PlateauConfig
@@ -84,11 +85,10 @@ def _train_epoch(net, samples, rng, aug, opt, cfg, epoch):
     order = rng.permutation(len(samples))
     sums = {}
     for step, start in enumerate(range(0, len(samples), cfg.batch_size)):
-        idx = order[start : start + cfg.batch_size]
+        batch = [samples[i] for i in order[start : start + cfg.batch_size]]
         # the one choice of training precision: float32 steps, float64 master weights
-        imgs = augment([samples[i] for i in idx], rng, aug).astype(np.float32)
-        u = np.stack([samples[i].u for i in idx])
-        v = np.array([samples[i].v for i in idx])
+        imgs = augment(batch, rng, aug).astype(np.float32)
+        u, v = labels(batch)
         les_logits, loc_logits, _, _ = net.forward(imgs)
         bd, node = objective.joint_loss(les_logits, loc_logits, u, v, cfg.mode, cfg.aux_weight)
         if not np.isfinite(bd.total):
@@ -97,7 +97,7 @@ def _train_epoch(net, samples, rng, aug, opt, cfg, epoch):
         opt.step()
         for k, val in asdict(bd).items():
             if val is not None:
-                sums[k] = sums.get(k, 0.0) + val * len(idx)
+                sums[k] = sums.get(k, 0.0) + val * len(batch)
     return {f"train_{k}": total / len(samples) for k, total in sums.items()}
 
 
@@ -151,8 +151,7 @@ def train(net: DualHeadNet, train_samples, val_samples, cfg: TrainConfig, on_epo
 
     if val_samples:
         val_imgs = np.stack([eval_transform(s, aug) for s in val_samples])
-        u_val = np.stack([s.u for s in val_samples])
-        v_val = np.array([s.v for s in val_samples])
+        u_val, v_val = labels(val_samples)
 
     # a multi-task run first warms up on its auxiliary task alone
     if cfg.pretrain_epochs > 0 and len(tasks) > 1:
@@ -187,19 +186,6 @@ def train(net: DualHeadNet, train_samples, val_samples, cfg: TrainConfig, on_epo
     return log, opt, aug
 
 
-def fold_metrics(net, test_samples, aug, cfg: TrainConfig):
-    """Evaluation report for one held-out sample set: the metrics of each
-    task cfg.mode trains, and both ScoreMatrices."""
-    les_sm, loc_sm = evaluate_scores(net, test_samples, aug, cfg.batch_size,
-                                     use_ten_crop=cfg.use_ten_crop)
-    report = {}
-    if "lesion" in objective.TASKS[cfg.mode]:
-        report.update(metrics.lesion_report(les_sm, np.stack([s.u for s in test_samples])))
-    if "location" in objective.TASKS[cfg.mode]:
-        report.update(metrics.location_report(loc_sm, np.array([s.v for s in test_samples])))
-    return report, les_sm, loc_sm
-
-
 def _usable_cpus():
     """CPUs this process may run on; 1 where os.fork is missing."""
     if not hasattr(os, "fork"):
@@ -209,10 +195,11 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _fit_folds(ds, cfg, folds, stop=lambda f: False):
-    """Train each fold's net in turn until stop(fold) is true; returns {fold:
-    (parameter arrays, fitted AugmentConfig)}, or {fold: exception} alone for
-    the first fold that fails, so a failing child's result fits in its pipe."""
+def _fit_folds(ds, cfg, split, folds, stop=lambda f: False):
+    """Train each fold's net in turn until stop(fold) is true, on the samples
+    whose split entry (fold index) differs from it; returns {fold: (parameter
+    arrays, fitted AugmentConfig)}, or {fold: exception} alone for the first
+    fold that fails, so a failing child's result fits in its pipe."""
     fitted = {}
     for f in folds:
         if stop(f):
@@ -220,7 +207,7 @@ def _fit_folds(ds, cfg, folds, stop=lambda f: False):
         try:
             fold_cfg = replace(cfg, seed=cfg.seed + f)
             net = DualHeadNet(cfg.net, ds.P, ds.Q, seed=fold_cfg.seed)
-            train_samples = [s for s, g in zip(ds.samples, ds.folds) if g != f]
+            train_samples = [s for s, g in zip(ds.samples, split) if g != f]
             _, _, aug = train(net, train_samples, None, fold_cfg)
             fitted[f] = ([p.tensor.data for p in net.parameters()], aug)
         except Exception as e:
@@ -228,14 +215,14 @@ def _fit_folds(ds, cfg, folds, stop=lambda f: False):
     return fitted
 
 
-def _fit_in_child(w, ds, cfg, folds):
+def _fit_in_child(w, ds, cfg, split, folds):
     """Forked child: pickle _fit_folds' result into pipe fd w and leave
     through os._exit, never unwinding into the caller's stack or flushing
     its stdio; the exit status is 0 only once the result is written."""
     status = 1
     try:
         with os.fdopen(w, "wb") as pipe:
-            pickle.dump(_fit_folds(ds, cfg, folds), pipe)
+            pickle.dump(_fit_folds(ds, cfg, split, folds), pipe)
         status = 0
     finally:
         os._exit(status)
@@ -271,10 +258,12 @@ def _reap(children, fitted, wait=lambda folds: False):
 
 
 def cross_validate(ds: Dataset, cfg: TrainConfig):
-    """K-fold cross-validation; per-fold seeds are cfg.seed + fold index.
+    """K-fold cross-validation over assign_folds(len(ds), cfg.n_folds,
+    cfg.seed); per-fold seeds are cfg.seed + fold index.
 
     Each fold trains a fresh net on the remaining folds and evaluates on
-    the held-out one, so every sample is scored exactly once. The folds
+    the held-out one, so every sample is scored exactly once, and reports
+    the metrics of the tasks cfg.mode trains (metrics.task_report). The folds
     are dealt round-robin to n = min(folds, usable CPUs) processes: this
     one and n - 1 forked children, which send back parameters and fitted
     AugmentConfigs. This process scores every fold in fold order, so the
@@ -284,11 +273,10 @@ def cross_validate(ds: Dataset, cfg: TrainConfig):
     have exited, and it stops once a lower fold is known to have failed.
     """
     _check_config(cfg)
-    if ds.folds is None:
-        if cfg.n_folds > len(ds):
-            raise BadConfig(f"need n_folds <= the {len(ds)} samples, got {cfg.n_folds}")
-        ds = assign_folds(ds, cfg.n_folds, cfg.seed)
-    fold_ids = sorted(set(int(f) for f in ds.folds))
+    if cfg.n_folds > len(ds):
+        raise BadConfig(f"need n_folds <= the {len(ds)} samples, got {cfg.n_folds}")
+    split = assign_folds(len(ds), cfg.n_folds, cfg.seed)
+    fold_ids = list(range(cfg.n_folds))
     n = min(len(fold_ids), _usable_cpus())
     fitted = {}     # fold -> (parameter arrays, fitted AugmentConfig) or its exception
     children = {}   # pid -> (read end of its pipe, its folds), until reaped
@@ -305,10 +293,10 @@ def cross_validate(ds: Dataset, cfg: TrainConfig):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _fit_in_child(w, ds, cfg, fold_ids[rank::n])
+                _fit_in_child(w, ds, cfg, split, fold_ids[rank::n])
             os.close(w)
             children[pid] = (os.fdopen(r, "rb"), fold_ids[rank::n])
-        fitted.update(_fit_folds(ds, cfg, fold_ids[::n], stop))
+        fitted.update(_fit_folds(ds, cfg, split, fold_ids[::n], stop))
         # a child whose first fold follows a known failure cannot change the outcome
         _reap(children, fitted, wait=lambda folds: not failed_below(folds[0]))
         failed = [f for f in fold_ids if isinstance(fitted.get(f), Exception)]
@@ -324,12 +312,10 @@ def cross_validate(ds: Dataset, cfg: TrainConfig):
         arrays, aug = fitted[f]
         net = DualHeadNet(cfg.net, ds.P, ds.Q, seed=cfg.seed + f)
         net.set_parameters(arrays)
-        report, _, _ = fold_metrics(net, [s for s, g in zip(ds.samples, ds.folds) if g == f],
-                                    aug, cfg)
-        report["fold"] = f
-        fold_reports.append(report)
-    aggregate = {}
-    numeric = [k for k in fold_reports[0] if isinstance(fold_reports[0][k], float)]
-    for k in numeric:
-        aggregate[k] = float(np.mean([r[k] for r in fold_reports]))
+        test = [s for s, g in zip(ds.samples, split) if g == f]
+        scores = evaluate_scores(net, test, aug, cfg.batch_size, use_ten_crop=cfg.use_ten_crop)
+        fold_reports.append({**metrics.task_report(objective.TASKS[cfg.mode], scores,
+                                                   *labels(test)), "fold": f})
+    aggregate = {k: float(np.mean([r[k] for r in fold_reports]))
+                 for k, val in fold_reports[0].items() if isinstance(val, float)}
     return {"mode": cfg.mode, "seed": cfg.seed, "folds": fold_reports, "aggregate": aggregate}

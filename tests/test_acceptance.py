@@ -24,7 +24,6 @@ from mtlkit.data import (
     Dataset,
     Sample,
     SynthSpec,
-    assign_folds,
     planted_correlation,
     synthesize,
     ten_crop,

@@ -14,6 +14,8 @@ import pytest
 from mtlkit import training
 from mtlkit.cli import main, train_config_from_dict
 from mtlkit.data import load_manifest
+from mtlkit.network import load_checkpoint, save_checkpoint
+from mtlkit.objective import TASKS
 from mtlkit.training import TrainConfig
 
 SPEC = {
@@ -153,6 +155,32 @@ class TestEval:
         code = main(["eval", workspace["ckpt"], str(tmp_path / "d4" / "manifest.jsonl")])
         assert code == 1
         assert "DimensionMismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", sorted(TASKS))
+def test_eval_reports_the_fields_cv_reports_for_the_checkpoint_mode(workspace, tmp_path, mode):
+    run, cv = tmp_path / "run", tmp_path / "cv.json"
+    assert main(["train", workspace["cfg_path"], "--mode", mode, "--out-dir", str(run)]) == 0
+    assert main(["cv", workspace["cfg_path"], "--mode", mode, "--report-out", str(cv)]) == 0
+    fold_keys = set(json.loads(cv.read_text())["folds"][0]) - {"fold"}
+    assert ("top1" in fold_keys) == ("location" in TASKS[mode])
+    assert ("map_class" in fold_keys) == ("lesion" in TASKS[mode])
+    for flag in ([], ["--ten-crop"]):
+        out = tmp_path / "eval.json"
+        assert main(["eval", str(run / "final.ckpt"), workspace["manifest"], *flag,
+                     "--report-out", str(out)]) == 0
+        assert set(json.loads(out.read_text())) == fold_keys | {"ten_crop"}
+
+
+def test_eval_of_a_checkpoint_without_mode_reports_mtl_fields(workspace, tmp_path):
+    bare = _with_state(workspace, tmp_path, _drop("mode"))
+    reports = []
+    for ckpt in (bare, workspace["ckpt"]):
+        out = tmp_path / "eval.json"
+        assert main(["eval", ckpt, workspace["manifest"], "--report-out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert "top1" in json.loads(reports[0]) and "map_class" in json.loads(reports[0])
 
 
 class TestEnsemble:
@@ -676,12 +704,14 @@ def _nest(section, **extra):
     _nest("augment", eval_scale=None), _nest("augment", crop=0),
     _nest("augment", flip_prob=2.0), _nest("augment", jitter_min=13),
     _nest("augment", eval_scale=7), _nest("augment", jitter_min=7),
+    # a mode outside TASKS: which heads to report and which buffers to expect is unknown
+    lambda state: dict(state, mode="both"), lambda state: dict(state, mode=None),
 ], ids=["not-object", "no-config", "no-P", "no-Q", "no-seed", "config-unknown-key",
         "augment-unknown-key", "huge-P", "Q-off-by-one", "P-string", "huge-width",
         "huge-blocks", "float-blocks", "negative-seed", "no-augment", "means-null",
         "means-one", "means-two", "means-strings", "crop-string", "eval-scale-null",
         "crop-zero", "flip-prob-above-one", "jitter-min-above-max",
-        "eval-scale-below-crop", "jitter-min-below-crop"])
+        "eval-scale-below-crop", "jitter-min-below-crop", "mode-unknown", "mode-null"])
 def test_bad_checkpoint_state_fails_in_one_line(workspace, tmp_path, capsys, edit):
     bad = _with_state(workspace, tmp_path, edit)
     capsys.readouterr()
@@ -697,3 +727,14 @@ def test_checkpoint_with_a_negative_crop_fails_in_one_line(workspace, tmp_path, 
     assert main(_argv(command, workspace, tmp_path, ckpt=bad)) == 1
     line = _single_error(capsys, "CheckpointError")
     assert bad in line and "augment.crop >= 1" in line
+
+
+@pytest.mark.parametrize("command", ["eval", "retrieve", "attention"])
+def test_unknown_mode_without_buffers_fails_in_one_line(workspace, tmp_path, capsys, command):
+    net, _, state = load_checkpoint(workspace["ckpt"])
+    bad = str(tmp_path / "bare.ckpt")
+    save_checkpoint(bad, net, [], dict(state, mode="lesion"))
+    capsys.readouterr()
+    assert main(_argv(command, workspace, tmp_path, ckpt=bad)) == 1
+    line = _single_error(capsys, "CheckpointError")
+    assert bad in line and "unknown mode 'lesion'" in line

@@ -500,11 +500,17 @@ class TestTenCrop:
 
 class TestFolds:
     def test_partition(self):
-        ds = synthesize(SynthSpec(P=2, Q=2, N=23, R=np.eye(2), seed=0))
-        ds = assign_folds(ds, 5, seed=1)
-        counts = np.bincount(ds.folds, minlength=5)
+        folds = assign_folds(23, 5, seed=1)
+        counts = np.bincount(folds, minlength=5)
         assert counts.sum() == 23
         assert counts.max() - counts.min() <= 1
+        assert np.array_equal(folds, assign_folds(23, 5, seed=1))
+        assert not np.array_equal(folds, assign_folds(23, 5, seed=2))
+
+    @pytest.mark.parametrize("n, n_folds", [(5, 1), (4, 5), (0, 2)])
+    def test_bad_fold_count_is_bad_spec(self, n, n_folds):
+        with pytest.raises(BadSpec, match=f"cannot split {n} samples into {n_folds} folds"):
+            assign_folds(n, n_folds)
 
     def test_channel_means(self):
         samples = [Sample(np.full((3, 2, 2), 0.25), np.array([1]), 1, "a"),

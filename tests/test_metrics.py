@@ -15,9 +15,11 @@ from mtlkit.metrics import (
     map_class,
     map_image,
     read_scores,
+    task_report,
     top_k_accuracy,
     write_scores,
 )
+from mtlkit.objective import TASKS
 
 
 def brute_force_ap(scores, labels):
@@ -195,6 +197,62 @@ class TestTopK:
         sm = ScoreMatrix(np.full((2, 3), 1 / 3), self.ids(2), "location")
         with pytest.raises(MatrixMismatch):
             top_k_accuracy(sm, v, 1)
+
+
+def per_row_top_k_accuracy(scores, v, k):
+    """The reference: one stable descending argsort per row."""
+    hits = 0
+    for i in range(len(v)):
+        top = np.argsort(-scores[i], kind="stable")[:k]
+        hits += int(v[i] - 1 in top)
+    return hits / len(v)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_top_k_matches_the_per_row_sort_on_tied_scores(seed):
+    rng = np.random.default_rng(seed)
+    n, q = int(rng.integers(1, 30)), int(rng.integers(1, 7))
+    # few distinct levels, so most rows hold ties; +-0 and +-inf tie with themselves
+    levels = np.array([0.0, -0.0, 0.5, 1.0, np.inf, -np.inf])
+    scores = levels[rng.integers(0, 3 + 3 * (seed % 2), size=(n, q))]
+    v = rng.integers(1, q + 1, size=n)
+    sm = ScoreMatrix(scores, [f"s{i}" for i in range(n)], "location")
+    for k in range(1, q + 1):
+        assert top_k_accuracy(sm, v, k) == per_row_top_k_accuracy(scores, v, k)
+
+
+class TestTaskReport:
+    def matrices(self, n=8, p=4, q=2, seed=0):
+        rng = np.random.default_rng(seed)
+        ids = [f"s{i}" for i in range(n)]
+        u = (rng.random((n, p)) < 0.4).astype(int)
+        u[np.arange(n), rng.choice([0, 1, 3], n)] = 1   # every image has a positive
+        u[:, 2] = 0     # a class with none is excluded
+        return (ScoreMatrix(rng.random((n, p)), ids, "lesion"),
+                ScoreMatrix(rng.random((n, q)), ids, "location"), u, rng.integers(1, q + 1, n))
+
+    @pytest.mark.parametrize("mode", sorted(TASKS))
+    def test_fields_follow_the_tasks(self, mode):
+        les, loc, u, v = self.matrices()
+        report = task_report(TASKS[mode], (les, loc), u, v)
+        expected = {}
+        if "lesion" in TASKS[mode]:
+            m_class, per_class, excluded = map_class(les, u)
+            expected.update(map_class=m_class, map_image=map_image(les, u)[0],
+                            per_class_ap=per_class, excluded_classes=excluded)
+            assert excluded == [2] and per_class[2] is None
+        if "location" in TASKS[mode]:
+            # top3 is top-Q at Q = 2
+            expected.update(top1=top_k_accuracy(loc, v, 1), top3=top_k_accuracy(loc, v, 2))
+        assert report == expected
+        assert list(report) == list(expected)
+
+    def test_reads_each_task_off_the_matrix_of_its_kind(self):
+        les, loc, u, v = self.matrices(q=5)
+        assert task_report(("location",), (loc,), u, v) == {
+            "top1": top_k_accuracy(loc, v, 1), "top3": top_k_accuracy(loc, v, 3)}
+        assert (task_report(("lesion", "location"), (loc, les), u, v)
+                == task_report(("lesion", "location"), (les, loc), u, v))
 
 
 class TestCorrelation:

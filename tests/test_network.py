@@ -242,12 +242,15 @@ class TestPrecision:
         assert [o.data.dtype for o in outs] == [np.float32] * 4
         _, node = joint_loss(outs[0], outs[1], self.U, self.V)
         nodes = _graph(node)
-        # float64: the parameters, the two task losses and their sum; the rest float32
-        wide = {id(p.tensor) for p in net.parameters()} | {id(n) for n in (node, *node._parents)}
+        # float64: the parameters, the two task losses, the scaled location loss
+        # and the sum; the rest float32
+        les_loss, scaled = node._parents
+        losses = (node, les_loss, scaled, *scaled._parents)
+        wide = {id(p.tensor) for p in net.parameters()} | {id(n) for n in losses}
         for n in nodes:
             assert n.data.dtype == (np.float64 if id(n) in wide else np.float32)
         rules = [n for n in nodes if n._backward is not None]
-        assert len(rules) == 21  # 18 forward ops, two task losses and their sum
+        assert len(rules) == 22  # 18 forward ops, two task losses, the scale and the sum
         for n in rules:
             for parent, g in zip(n._parents, n._backward(np.ones_like(n.data))):
                 assert g is None or g.dtype == parent.data.dtype  # None: the batch's own
@@ -319,10 +322,22 @@ class TestCheckpoint:
         _, loaded, state = load_checkpoint(path)
         assert state["mode"] == mode
         assert all(np.array_equal(a, b) for a, b in zip(loaded, bufs, strict=True))
-        for other in [m for m in TASKS if m != mode] + ["unknown"]:
+        for other in [m for m in TASKS if m != mode]:
             save_checkpoint(path, net, bufs, {"mode": other})
             with pytest.raises(CheckpointError, match="momentum buffers"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("buffers", [False, True], ids=["no-buffers", "buffers"])
+    @pytest.mark.parametrize("mode", ["unknown", "both", "", None, 1, ["mtl"], {"mtl": 1}],
+                             ids=["unknown", "both", "empty", "null", "int", "list", "object"])
+    def test_mode_outside_tasks_is_rejected(self, tmp_path, monkeypatch, mode, buffers):
+        net = small_net()
+        path = tmp_path / "net.ckpt"
+        bufs = [np.zeros(p.tensor.shape) for p in net.parameters()] if buffers else []
+        save_checkpoint(path, net, bufs, {"mode": mode})
+        monkeypatch.setattr(network, "DualHeadNet", lambda *a: pytest.fail("net was built"))
+        with pytest.raises(CheckpointError, match="unknown mode"):
+            load_checkpoint(path)
 
     def test_save_twice_identical_bytes(self, tmp_path):
         net = small_net(seed=2)

@@ -146,6 +146,28 @@ class TestJointLoss:
         assert bd.total == float(node.data)
         assert abs(bd.total - (bd.lesion_loss + 0.5 * bd.location_loss)) < 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("special", [(), (np.inf, -np.inf), (np.inf, -np.inf, np.nan)],
+                             ids=["finite", "inf", "inf-and-nan"])
+    def test_unit_aux_weight_keeps_the_bits_of_the_plain_sum(self, rng, dtype, special):
+        # scaling by 1.0 is exact: the loss and both logit gradients equal les + loc byte for byte
+        les, loc = rng.normal(size=(4, 3)) * 5, rng.normal(size=(4, 5)) * 5
+        for i, x in enumerate(special):
+            les[i, i % 3], loc[3 - i, i] = x, -x
+        u, v = [[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1]], [1, 4, 2, 5]
+
+        def bits(build):
+            les_t, loc_t = (Tensor(a.astype(dtype), requires_grad=True) for a in (les, loc))
+            with np.errstate(invalid="ignore", over="ignore"):
+                node = build(les_t, loc_t)
+                T.backward(node)
+            return [(a.dtype, a.tobytes()) for a in (node.data, les_t.grad, loc_t.grad)]
+
+        joint = bits(lambda a, b: O.joint_loss(a, b, u, v, aux_weight=1.0)[1])
+        assert joint == bits(lambda a, b: T.add(O.lesion_loss(a, u), O.location_loss(b, v)))
+        if special:
+            assert not np.isfinite(np.frombuffer(joint[0][1])).all()
+
     def test_single_task_modes(self, rng):
         net = self.net()
         batch = rng.normal(size=(2, 3, 8, 8))

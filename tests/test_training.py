@@ -11,7 +11,6 @@ from mtlkit.data import (
     Dataset,
     Sample,
     SynthSpec,
-    assign_folds,
     planted_correlation,
     synthesize,
 )
@@ -22,7 +21,6 @@ from mtlkit.training import (
     TrainConfig,
     cross_validate,
     evaluate_scores,
-    fold_metrics,
     train,
 )
 
@@ -375,25 +373,25 @@ def test_inference_builds_no_graph(monkeypatch):
 
 class TestCrossValidation:
     def test_every_sample_scored_once(self):
-        ds = assign_folds(tiny_dataset(18), 3, seed=0)
+        ds = tiny_dataset(18)
         report = cross_validate(ds, tiny_config(epochs=1))
         assert len(report["folds"]) == 3
         assert set(report["aggregate"]) >= {"map_class", "map_image", "top1"}
 
     def test_deterministic(self):
-        ds = assign_folds(tiny_dataset(18), 3, seed=0)
+        ds = tiny_dataset(18)
         a = cross_validate(ds, tiny_config(epochs=1))
         b = cross_validate(ds, tiny_config(epochs=1))
         assert a == b
 
     def test_aggregate_is_fold_mean(self):
-        ds = assign_folds(tiny_dataset(18), 3, seed=0)
+        ds = tiny_dataset(18)
         report = cross_validate(ds, tiny_config(epochs=1))
         manual = np.mean([f["map_class"] for f in report["folds"]])
         assert report["aggregate"]["map_class"] == pytest.approx(manual, abs=1e-12)
 
     def test_lesion_only_report_omits_location_metrics(self):
-        ds = assign_folds(tiny_dataset(18), 3, seed=0)
+        ds = tiny_dataset(18)
         report = cross_validate(ds, tiny_config(epochs=1, mode="lesion_only"))
         assert "top1" not in report["folds"][0]
         assert "map_class" in report["folds"][0]
@@ -419,14 +417,14 @@ class TestParallelFolds:
         from mtlkit import training
 
         # the reports are rank metrics, blind to a last-bit change in the weights
-        real, weights = training.fold_metrics, []
+        real, weights = training.evaluate_scores, []
 
-        def recording_fold_metrics(net, test_samples, aug, cfg):
+        def recording_evaluate_scores(net, *args, **kwargs):
             weights.append([p.tensor.data for p in net.parameters()])
-            return real(net, test_samples, aug, cfg)
+            return real(net, *args, **kwargs)
 
-        monkeypatch.setattr(training, "fold_metrics", recording_fold_metrics)
-        ds = assign_folds(tiny_dataset(18), 3, seed=0)
+        monkeypatch.setattr(training, "evaluate_scores", recording_evaluate_scores)
+        ds = tiny_dataset(18)
         cfg = tiny_config(epochs=1, mode=mode, use_ten_crop=True, aux_weight=0.5)
         reports = []
         for cpus in (1, 2, 3, 16):
@@ -445,7 +443,7 @@ class TestParallelFolds:
         # at two processes the caller trains folds 0 and 2, a child folds 1 and 3
         monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
         _fold_failing_train(monkeypatch, failing)
-        ds = assign_folds(tiny_dataset(20), 4, seed=0)
+        ds = tiny_dataset(20)
         with pytest.raises(NonFiniteLoss, match=f"^fold {raised}$"):
             cross_validate(ds, tiny_config(epochs=1, n_folds=4))
         with pytest.raises(ChildProcessError):
@@ -471,7 +469,7 @@ class TestParallelFolds:
 
         monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(training, "train", train)
-        ds = assign_folds(tiny_dataset(20), 5, seed=0)
+        ds = tiny_dataset(20)
         with pytest.raises(NonFiniteLoss, match="^fold 1$"):
             cross_validate(ds, tiny_config(epochs=1, n_folds=5))
         assert trained == [0]
@@ -489,21 +487,11 @@ class TestParallelFolds:
 
         monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(training, "train", dying_train)
-        ds = assign_folds(tiny_dataset(20), folds, seed=0)
+        ds = tiny_dataset(20)
         owned = "fold 1" if folds == 2 else "folds 1, 3"
         with pytest.raises(WorkerDied, match=f"{owned} ended without a result "
                                              r"\(killed by signal 9\)$"):
             cross_validate(ds, tiny_config(epochs=1, n_folds=folds))
-
-
-def test_fold_metrics_report_shape():
-    ds = tiny_dataset(12)
-    net = DualHeadNet(NetConfig(width=4, blocks=1), ds.P, ds.Q, seed=0)
-    cfg = tiny_config()
-    report, les, loc = fold_metrics(net, ds.samples, TINY_AUG, cfg)
-    assert len(report["per_class_ap"]) == ds.P
-    assert 0.0 <= report["top1"] <= 1.0
-    assert les.scores.shape == (12, ds.P)
 
 
 def test_checkpoint_resume_matches(tmp_path):
