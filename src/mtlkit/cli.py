@@ -231,9 +231,11 @@ def cmd_eval(args):
     report = metrics.task_report(TASKS[mode], (les_sm, loc_sm), *labels(ds.samples))
     _name_lesion_classes(report, ds.lesion_names)
     report["ten_crop"] = bool(args.ten_crop)
-    if args.scores_out:
-        metrics.write_scores(args.scores_out + "_lesion.csv", les_sm, ds.lesion_names)
-        metrics.write_scores(args.scores_out + "_location.csv", loc_sm, ds.location_names)
+    if args.scores_out:  # the score CSV of each head the checkpoint's mode trained
+        for task, sm, names in (("lesion", les_sm, ds.lesion_names),
+                                ("location", loc_sm, ds.location_names)):
+            if task in TASKS[mode]:
+                metrics.write_scores(f"{args.scores_out}_{task}.csv", sm, names)
     _emit_report(report, args.report_out)
     return 0
 
@@ -296,7 +298,10 @@ def cmd_retrieve(args):
 
 
 def cmd_attention(args):
-    net, aug, _, ds = _load_model(args.checkpoint, args.manifest)
+    net, aug, mode, ds = _load_model(args.checkpoint, args.manifest)
+    if args.head not in TASKS[mode]:
+        raise BadConfig(f"--head {args.head}: {args.checkpoint} is a {mode} checkpoint, "
+                        f"whose {args.head} head never trained")
     by_id = {s.id: s for s in ds.samples}
     if args.id not in by_id:
         raise BadSpec(f"sample id {args.id!r} not found in manifest")

@@ -13,9 +13,13 @@ Gradient contract: ``_backward(g)`` returns one gradient per parent, in
 gradient. ``backward`` sums what reaches a node out of place, frees it
 once the node's rule has run and writes ``.grad`` only on leaves (adding
 to one already there), so one graph may be walked from several roots.
+A rule may read its parents' ``.data`` (conv2d rebuilds its im2col matrix
+from x's, matmul and sum_squares read x's), so nothing may write into a
+tensor's data in place between its forward and backward passes; SGD
+rebinds a parameter's ``.data`` and never writes into it.
 
 Inference contract: ops inside ``with no_grad():`` return results with no
-parents, no backward rule and requires_grad False, so no im2col matrix or mask
+parents, no backward rule and requires_grad False, so no mask or input
 outlives its op; exiting, even by raising, restores the prior mode.
 
 Precision contract: a Tensor holds float32 data as float32 and widens
@@ -38,11 +42,16 @@ Conventions fixed for determinism:
   * broadcasting is limited to bias_add over the feature axis of a 2-D
     input and conv2d's bias over the output channels.
 
-Layout: conv2d keeps its im2col matrix as (B, C*kh*kw, H*W), pixels
+Layout: conv2d lays out its im2col matrix as (B, C*kh*kw, H*W), pixels
 contiguous, so the forward pass is one batched matmul, with the bias added
 in place, whose result is already NCHW, and neither pass copies a
-transpose. conv2d is same-padded only (stride 1, odd kh and kw, output
-H x W), and it builds the matrix without a padded copy: each tap's block
+transpose. The graph keeps no matrix: the forward pass drops it after its
+matmul, and the backward pass rebuilds the same bytes for the weight
+gradient from the x the graph already holds, trading one more im2col per
+backward for C*kh*kw times x's memory per conv (the rematerialisation of
+Chen et al., 2016, "Training Deep Nets with Sublinear Memory Cost").
+conv2d is same-padded only (stride 1, odd kh and kw, output H x W), and
+it builds the matrix without a padded copy: each tap's block
 is one contiguous copy of the flattened image shifted by the tap's offset,
 after which the rows and columns that read outside the image are zeroed.
 Its input gradient is the same im2col of the output gradient times the
@@ -294,20 +303,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch((cout,), b.shape, "conv2d bias")
     if not kh % 2 == kw % 2 == 1:
         raise ShapeMismatch("an odd kernel height and width", (kh, kw), "conv2d")
-    cols = _im2col_same(x.data, kh, kw)  # cached for the weight gradient
-    wc = w.data.astype(x.data.dtype, copy=False)
-    out = np.matmul(wc.reshape(cout, -1), cols)
-    out += b.data.astype(x.data.dtype, copy=False)[:, None]
+    xd = x.data
+    wc = w.data.astype(xd.dtype, copy=False)
+    out = np.matmul(wc.reshape(cout, -1), _im2col_same(xd, kh, kw))
+    out += b.data.astype(xd.dtype, copy=False)[:, None]
 
     def bwd(g):
         g3 = g.reshape(bsz, cout, h * wd)
+        cols = _im2col_same(xd, kh, kw)  # rebuilt, not kept from the forward pass
         gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        del cols  # so the input gradient's matrix may take its block
         gw = gw.astype(w.data.dtype, copy=False)
         gb = g.sum(axis=(0, 2, 3)).astype(b.data.dtype, copy=False)
         if not x.requires_grad:
             return None, gw, gb
         # the input gradient: see Layout in the module docstring
-        gcols = _im2col_same(g.astype(x.data.dtype, copy=False), kh, kw)
+        gcols = _im2col_same(g.astype(xd.dtype, copy=False), kh, kw)
         wflip = wc[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
         return np.matmul(wflip, gcols).reshape(bsz, cin, h, wd), gw, gb
 

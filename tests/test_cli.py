@@ -183,6 +183,40 @@ def test_eval_of_a_checkpoint_without_mode_reports_mtl_fields(workspace, tmp_pat
     assert "top1" in json.loads(reports[0]) and "map_class" in json.loads(reports[0])
 
 
+def _checkpoint_of_mode(workspace, tmp_path, mode):
+    """Path of the workspace net saved as a `mode` checkpoint, without buffers."""
+    net, _, state = load_checkpoint(workspace["ckpt"])
+    path = str(tmp_path / f"{mode}.ckpt")
+    save_checkpoint(path, net, [], dict(state, mode=mode))
+    return path
+
+
+@pytest.mark.parametrize("mode", sorted(TASKS))
+def test_eval_writes_the_scores_of_the_trained_heads_only(workspace, tmp_path, mode):
+    ckpt, scores = _checkpoint_of_mode(workspace, tmp_path, mode), tmp_path / "scores"
+    scores.mkdir()
+    assert main(["eval", ckpt, workspace["manifest"], "--scores-out", str(scores / "s"),
+                 "--report-out", str(tmp_path / "r.json")]) == 0
+    assert sorted(os.listdir(scores)) == sorted(f"s_{task}.csv" for task in TASKS[mode])
+
+
+@pytest.mark.parametrize("mode", sorted(TASKS))
+@pytest.mark.parametrize("head", ["lesion", "location"])
+def test_attention_maps_only_a_trained_head(workspace, tmp_path, capsys, mode, head):
+    ckpt, out = _checkpoint_of_mode(workspace, tmp_path, mode), tmp_path / "maps"
+    sid = load_manifest(workspace["manifest"]).samples[0].id
+    capsys.readouterr()
+    code = main(["attention", ckpt, workspace["manifest"], "--id", sid, "--head", head,
+                 "--out-dir", str(out)])
+    if head in TASKS[mode]:
+        assert code == 0 and len(os.listdir(out)) == 2
+    else:
+        assert code == 1
+        line = _single_error(capsys, "BadConfig")
+        assert f"--head {head}" in line and mode in line
+        assert not out.exists()
+
+
 class TestEnsemble:
     def test_scores_roundtrip_through_ensemble(self, workspace, tmp_path, capsys):
         prefix = str(tmp_path / "s")
@@ -731,9 +765,7 @@ def test_checkpoint_with_a_negative_crop_fails_in_one_line(workspace, tmp_path, 
 
 @pytest.mark.parametrize("command", ["eval", "retrieve", "attention"])
 def test_unknown_mode_without_buffers_fails_in_one_line(workspace, tmp_path, capsys, command):
-    net, _, state = load_checkpoint(workspace["ckpt"])
-    bad = str(tmp_path / "bare.ckpt")
-    save_checkpoint(bad, net, [], dict(state, mode="lesion"))
+    bad = _checkpoint_of_mode(workspace, tmp_path, "lesion")
     capsys.readouterr()
     assert main(_argv(command, workspace, tmp_path, ckpt=bad)) == 1
     line = _single_error(capsys, "CheckpointError")

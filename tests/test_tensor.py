@@ -549,3 +549,83 @@ class TestBitwisePins:
         assert not base.flags.writeable and not offs.flags.writeable
         assert base[1, 2, 1, 2] == ((1 * 3 + 2) * 4 + 2) * 6 + 4
         assert list(offs) == [0, 1, 6, 7]
+
+
+# ---------------------------------------------------------------------------
+# rematerialisation: conv2d's backward rebuilds the im2col matrix it once kept
+
+
+def conv2d_keeping_cols(x, w, b):
+    """conv2d as it was while its backward rule kept the forward pass's im2col
+    matrix alive instead of rebuilding it from x."""
+    bsz, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    cols = T._im2col_same(x.data, kh, kw)  # cached for the weight gradient
+    wc = w.data.astype(x.data.dtype, copy=False)
+    out = np.matmul(wc.reshape(cout, -1), cols)
+    out += b.data.astype(x.data.dtype, copy=False)[:, None]
+
+    def bwd(g):
+        g3 = g.reshape(bsz, cout, h * wd)
+        gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        gw = gw.astype(w.data.dtype, copy=False)
+        gb = g.sum(axis=(0, 2, 3)).astype(b.data.dtype, copy=False)
+        if not x.requires_grad:
+            return None, gw, gb
+        gcols = T._im2col_same(g.astype(x.data.dtype, copy=False), kh, kw)
+        wflip = wc[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        return np.matmul(wflip, gcols).reshape(bsz, cin, h, wd), gw, gb
+
+    return T._result(out.reshape(bsz, cout, h, wd), (x, w, b), bwd)
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want, strict=True):
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRematerialisedConv:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (3, 5)])
+    def test_conv2d_matches_the_kept_matrix_bytes(self, dtype, x_grad, kernel):
+        rng = np.random.default_rng([*kernel, x_grad])
+        xdata = rng.normal(size=(3, 4, 7, 6)).astype(dtype)
+        xdata[xdata < -1.5] = -0.0
+        wdata, bdata = rng.normal(size=(5, 4, *kernel)), rng.normal(size=5)
+        g = rng.normal(size=(3, 5, 7, 6)).astype(dtype)
+        runs = []
+        for conv in (T.conv2d, conv2d_keeping_cols):
+            x = T.Tensor(xdata.copy(), requires_grad=x_grad)
+            w, b = t(wdata), t(bdata)
+            out = conv(x, w, b)
+            vjp(out, g)
+            runs.append((out.data, x.grad, w.grad, b.grad))
+        assert (runs[0][1] is None) == (not x_grad)
+        assert_same_bytes(*runs)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_one_graph_walked_from_two_roots(self, dtype):
+        # two convs, so the second rebuilds its matrix from an intermediate
+        # activation; each walk must read the same bytes the first one did
+        rng = np.random.default_rng(7)
+        xdata = rng.normal(size=(2, 3, 6, 5)).astype(dtype)
+        shapes = [(4, 3, 3, 3), (4,), (2, 4, 3, 5), (2,)]
+        params = [rng.normal(size=s) for s in shapes]
+        runs = []
+        for conv in (T.conv2d, conv2d_keeping_cols):
+            x = T.Tensor(xdata.copy(), requires_grad=True)
+            leaves = [t(p) for p in params]
+            y = conv(T.relu(conv(x, *leaves[:2])), *leaves[2:])
+            walks = []
+            for root in (T.tsum(T.relu(y)), T.sum_squares(y)):
+                for leaf in (x, *leaves):
+                    leaf.grad = None
+                T.backward(root)
+                walks += [y.data, x.grad, *(leaf.grad for leaf in leaves)]
+            runs.append(walks)
+        assert not np.array_equal(runs[0][1], runs[0][7])  # the roots differ
+        assert_same_bytes(*runs)
