@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import AugmentConfig, Dataset, eval_transform, resize_bilinear, write_pgm
-from .errors import BadClass, BadConfig, BadK
+from .errors import BadClass, BadConfig, BadK, NonFiniteFeature
 from .network import DualHeadNet
 
 
@@ -43,17 +43,30 @@ class AttentionMap:
     upsampled: np.ndarray | None = None
 
 
+def _check_finite(feats, samples):
+    """A forward that overflowed would rank neighbors by inf or NaN distances."""
+    bad = ~np.isfinite(feats).all(axis=1)
+    if bad.any():
+        raise NonFiniteFeature(f"the feature of sample {samples[np.argmax(bad)].id!r} "
+                               "is not finite")
+
+
 def build_index(net: DualHeadNet, ds: Dataset, aug: AugmentConfig,
                 batch_size: int = 20) -> FeatureIndex:
-    """Pooled features for every sample at the deterministic eval scale."""
+    """Pooled features for every sample at the deterministic eval scale; a
+    feature holding a NaN or an infinity is a NonFiniteFeature."""
     if not ds.samples:
         return FeatureIndex(np.zeros((0, net.feature_dim)), [])
     _, _, feats = net.infer((eval_transform(s, aug) for s in ds.samples), batch_size)
+    _check_finite(feats, ds.samples)
     return FeatureIndex(feats, [s.id for s in ds.samples])
 
 
 def query_feature(net: DualHeadNet, sample, aug: AugmentConfig) -> np.ndarray:
-    return net.infer([eval_transform(sample, aug)])[2][0]
+    """The sample's pooled feature, checked as build_index checks the index's."""
+    feats = net.infer([eval_transform(sample, aug)])[2]
+    _check_finite(feats, [sample])
+    return feats[0]
 
 
 def retrieve(index: FeatureIndex, query: np.ndarray, k: int) -> list:
@@ -68,14 +81,18 @@ def retrieve(index: FeatureIndex, query: np.ndarray, k: int) -> list:
 
 def attention(net: DualHeadNet, image: np.ndarray, head: str, class_index: int,
               upsample: bool = False) -> AttentionMap:
-    """Class activation map for one image (C x H x W, already transformed)."""
+    """Class activation map for one image (C x H x W, already transformed).
+
+    The image is forwarded in float32, as DualHeadNet.infer forwards every
+    chunk; the float64 head weights widen the float32 conv maps, so raw,
+    map and upsampled are float64."""
     if head not in ("lesion", "location"):
         raise BadConfig(f"head must be 'lesion' or 'location', got {head!r}")
     weights = getattr(net, f"{head}_w").data    # K x P or K x Q
     if not 0 <= class_index < weights.shape[1]:
         raise BadClass(f"class index {class_index} out of range for {head} head")
     with T.no_grad():
-        _, _, _, conv_maps = net.forward(np.asarray(image)[None])
+        _, _, _, conv_maps = net.forward(np.asarray(image, dtype=np.float32)[None])
     maps = conv_maps.data[0]                    # K x h x w
     raw = np.tensordot(weights[:, class_index], maps, axes=(0, 0))
     lo, hi = raw.min(), raw.max()

@@ -412,8 +412,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # a diverging run overflows long before its loss is checked; the
-        # NonFiniteLoss (training) and NaN-score (ScoreMatrix) checks report
-        # it as one error line, so numpy's warnings would only repeat it
+        # NonFiniteLoss (training), NaN-score (ScoreMatrix) and
+        # NonFiniteFeature (retrieval) checks report it as one error line,
+        # so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except MtlkitError as e:

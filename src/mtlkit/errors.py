@@ -43,6 +43,10 @@ class NonFiniteLoss(MtlkitError):
     """A training step's loss is NaN or infinite."""
 
 
+class NonFiniteFeature(MtlkitError):
+    """A pooled feature vector to index or query holds a NaN or an infinity."""
+
+
 class ParseError(MtlkitError):
     def __init__(self, line, reason):
         self.line = line

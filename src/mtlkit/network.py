@@ -137,12 +137,17 @@ class DualHeadNet:
         return lesion_logits, location_logits, features, conv_maps
 
     def infer(self, images, batch_size: int = 20):
-        """(lesion, location, features) arrays; images are drawn batch_size per forward."""
+        """(lesion, location, features) float64 arrays; images are drawn
+        batch_size per forward.
+
+        The one choice of forward precision: each chunk is stacked as float32,
+        so every op runs in float32 as in a training step, and the outputs
+        are widened back to float64, which is exact."""
         it, outs = iter(images), []
         with T.no_grad():
             while chunk := list(islice(it, batch_size)):
-                outs.append([t.data for t in self.forward(np.stack(chunk))[:3]])
-        return tuple(np.concatenate(col) for col in zip(*outs))
+                outs.append([t.data for t in self.forward(np.stack(chunk, dtype=np.float32))[:3]])
+        return tuple(np.concatenate(col, dtype=np.float64) for col in zip(*outs))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ input, casting its parameter operands (the w and b of conv2d, matmul and
 bias_add) to it for the call; the scalar reductions return a float64 value.
 Every backward rule returns each gradient in its parent's dtype, so a
 float32 batch runs forward and backward in float32 while float64 leaves
-still receive float64 ``.grad``.
+still receive float64 ``.grad``. A float64 batch still runs in float64,
+but no mtlkit forward sends one: training steps, ``DualHeadNet.infer``
+and ``analysis.attention`` all cast their batch to float32.
 
 Conventions fixed for determinism:
   * arrays are row-major;

@@ -115,6 +115,8 @@ def evaluate_scores(net: DualHeadNet, samples, aug: AugmentConfig,
     Lesion scores are sigmoid activations, location scores softmax. With
     use_ten_crop the post-activation scores are averaged over the 10 crops.
     A forward holds whole samples' views: one view alone (a gemv) rounds differently.
+    The views are forwarded in float32 by net.infer, whose float64 logits the
+    activations and the crop mean read.
     """
     if not samples:
         raise EmptyDataset("no samples to score")

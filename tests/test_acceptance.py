@@ -326,8 +326,8 @@ def test_criterion_9_retrieval_attention(capsys):
     one.lesion_w.data[:] = 1.0
     img = rng.random((3, 8, 8))
     amap = attention(one, img, "lesion", 1)
-    _, _, _, maps = one.forward(img[None])
-    raw = maps.data[0, 0]
+    _, _, _, maps = one.forward(img[None].astype(np.float32))  # attention's float32 forward
+    raw = maps.data[0, 0].astype(np.float64)
     expected = (raw - raw.min()) / (raw.max() - raw.min())
     ok &= np.abs(amap.map - expected).max() < 1e-12
     _verdict(capsys, 9, "retrieval and attention fixtures", ok)

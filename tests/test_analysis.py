@@ -14,7 +14,7 @@ from mtlkit.analysis import (
     retrieve,
 )
 from mtlkit.data import AugmentConfig, Dataset, Sample, SynthSpec, planted_correlation, synthesize
-from mtlkit.errors import BadClass, BadK
+from mtlkit.errors import BadClass, BadK, NonFiniteFeature
 from mtlkit.network import DualHeadNet, NetConfig
 
 
@@ -107,6 +107,29 @@ class TestIndex:
         index = build_index(small_net(), ds, AUG)
         assert index.features.shape == (0, 4)
 
+    def test_empty_and_full_index_share_a_dtype(self, rng):
+        net, ds = small_net(), dataset([rng.random((3, 8, 8))])
+        empty, full = build_index(net, dataset([]), AUG), build_index(net, ds, AUG)
+        assert empty.features.dtype == full.features.dtype == np.float64
+        assert query_feature(net, ds.samples[0], AUG).dtype == np.float64
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_feature_is_rejected(self, rng, monkeypatch, bad):
+        net = small_net()
+        ds = dataset([rng.random((3, 8, 8)) for _ in range(3)])
+        infer = net.infer
+
+        def overflowing(images, batch_size=20):
+            les, loc, feats = infer(images, batch_size)
+            feats[-1, 0] = bad
+            return les, loc, feats
+
+        monkeypatch.setattr(net, "infer", overflowing)
+        with pytest.raises(NonFiniteFeature, match="sample 's2'"):
+            build_index(net, ds, AUG)
+        with pytest.raises(NonFiniteFeature, match="sample 's1'"):
+            query_feature(net, ds.samples[1], AUG)
+
     def test_features_match_conv_map_means(self, rng):
         img = rng.random((3, 8, 8))
         net = small_net()
@@ -114,8 +137,10 @@ class TestIndex:
         index = build_index(net, ds, AUG)
         from mtlkit.data import eval_transform
 
-        _, _, _, maps = net.forward(eval_transform(ds.samples[0], AUG)[None])
-        assert np.abs(index.features[0] - maps.data[0].mean(axis=(1, 2))).max() < 1e-12
+        # the float32 batch that infer forwards; its pooled means, widened
+        _, _, _, maps = net.forward(eval_transform(ds.samples[0], AUG)[None].astype(np.float32))
+        expected = maps.data[0].mean(axis=(1, 2)).astype(np.float64)
+        assert np.abs(index.features[0] - expected).max() < 1e-12
 
 
 class TestAttention:
@@ -124,10 +149,15 @@ class TestAttention:
         net.lesion_w.data[:] = 1.0
         img = rng.random((3, 8, 8))
         amap = attention(net, img, "lesion", 0)
-        _, _, _, maps = net.forward(img[None])
-        raw = maps.data[0, 0]
+        # attention forwards the image in float32 and normalizes in float64
+        _, _, _, maps = net.forward(img[None].astype(np.float32))
+        raw = maps.data[0, 0].astype(np.float64)
         expected = (raw - raw.min()) / (raw.max() - raw.min())
         assert np.abs(amap.map - expected).max() < 1e-12
+
+    def test_maps_are_float64(self, rng):
+        amap = attention(small_net(), rng.random((3, 8, 8)), "location", 1, upsample=True)
+        assert amap.raw.dtype == amap.map.dtype == amap.upsampled.dtype == np.float64
 
     def test_zero_weights_constant_half(self, rng):
         net = small_net()
@@ -139,7 +169,7 @@ class TestAttention:
         # raw map is the head-weighted sum of activation maps
         net = small_net()
         img = np.random.default_rng(0).random((3, 8, 8))
-        _, _, _, maps = net.forward(img[None])
+        _, _, _, maps = net.forward(img[None].astype(np.float32))
         w = net.location_w.data[:, 2]
         expected_raw = np.tensordot(w, maps.data[0], axes=(0, 0))
         amap = attention(net, img, "location", 2)

@@ -305,6 +305,20 @@ def test_retrieve_command(workspace, tmp_path):
     assert first["neighbors"][0]["distance"] < 1e-9
 
 
+def test_retrieve_on_an_overflowing_checkpoint_fails_in_one_line(workspace, tmp_path, capsys):
+    # 1e40 is past float32's range, so the forward's last residual sum is
+    # +inf wherever the scaled bias is positive, and so is that channel's feature
+    net, bufs, state = load_checkpoint(workspace["ckpt"])
+    assert (net.block0_b2.data > 0).any()
+    net.block0_b2.data = net.block0_b2.data * 1e40
+    bad, report = str(tmp_path / "overflow.ckpt"), tmp_path / "ret.json"
+    save_checkpoint(bad, net, bufs, state)
+    capsys.readouterr()
+    assert main(["retrieve", bad, workspace["manifest"], "--report-out", str(report)]) == 1
+    assert "is not finite" in _single_error(capsys, "NonFiniteFeature")
+    assert not report.exists()
+
+
 def test_attention_command(workspace, tmp_path):
     ds = load_manifest(workspace["manifest"])
     sid = ds.samples[0].id

@@ -113,7 +113,8 @@ def test_batch_invariance(rng):
 
 def test_infer_draws_one_batch_per_forward(rng, monkeypatch):
     # images come from an iterable batch_size at a time, so memory does not
-    # grow with their number; the arrays equal the forwards of those batches
+    # grow with their number; the arrays equal the float32 forwards of those
+    # batches, widened to float64
     net = small_net()
     images = rng.normal(size=(7, 3, 8, 8))
     drawn, per_forward = [0], []
@@ -132,9 +133,9 @@ def test_infer_draws_one_batch_per_forward(rng, monkeypatch):
     out = net.infer(draw(), batch_size=3)
     monkeypatch.undo()
     assert per_forward == [(3, 3), (3, 6), (1, 7)]
-    chunks = [net.forward(images[i : i + 3]) for i in (0, 3, 6)]
+    chunks = [net.forward(images[i : i + 3].astype(np.float32)) for i in (0, 3, 6)]
     for j, got in enumerate(out):
-        assert np.array_equal(got, np.concatenate([c[j].data for c in chunks]))
+        assert np.array_equal(got, np.concatenate([c[j].data for c in chunks]).astype(np.float64))
 
 
 def test_shared_trunk_head_isolation(rng):
@@ -291,6 +292,16 @@ class TestPrecision:
             grads.append([p.tensor.grad for p in net.parameters()])
         for g64, g32 in zip(*grads):
             assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
+
+    def test_infer_forwards_float32_and_returns_float64(self, rng):
+        net = small_net()
+        images = rng.normal(size=(5, 3, 8, 8))
+        first, second = net.infer(images, batch_size=2), net.infer(images, batch_size=2)
+        assert [a.dtype for a in first] == [np.float64] * 3
+        # deterministic: the same call twice gives the same bytes
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
+        # each float32 value widened exactly: narrowing back loses nothing
+        assert all(np.array_equal(a.astype(np.float32).astype(np.float64), a) for a in first)
 
 
 def test_forward_rejects_bad_channels(rng):
