@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -21,10 +21,13 @@ from . import analysis, metrics
 from .data import (
     AugmentConfig,
     SynthSpec,
+    check_type,
     eval_transform,
     labels,
     load_manifest,
     planted_correlation,
+    read,
+    read_list,
     save_manifest,
     synthesize,
 )
@@ -36,9 +39,8 @@ from .errors import (
     MatrixMismatch,
     MtlkitError,
 )
-from .network import DualHeadNet, NetConfig, load_checkpoint, save_checkpoint
+from .network import DualHeadNet, load_checkpoint, save_checkpoint
 from .objective import TASKS
-from .optim import PlateauConfig
 from .training import (
     TrainConfig,
     _check_config,
@@ -55,89 +57,79 @@ def _load_json(path):
             return json.load(f)
     except OSError as e:
         raise BadConfig(f"cannot read {path}: {e.strerror}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:   # bad JSON, bad UTF-8 or an int of too many digits
         raise BadConfig(f"{path} is not valid JSON: {e}") from None
 
 
-# JSON types accepted for a field, keyed by the type of its default value;
-# a float field takes an int too, and no numeric field takes a bool
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+@dataclass
+class RunKeys:
+    """The top-level run config keys that train and cv read themselves; the
+    others are TrainConfig's."""
+    manifest: str
+    val_fraction: float = 0.1
+    out_dir: str = "."
 
 
-def _check_value(key, value, kind):
-    ok = _JSON_TYPES[kind]
-    if not isinstance(value, ok) or (isinstance(value, bool) and bool not in ok):
-        raise BadConfig(f"{key} must be {kind.__name__}, got {value!r}")
-
-
-def _check_types(cls, d: dict, prefix: str = ""):
-    """Type-check the scalar fields of dataclass cls present in d."""
-    for f in fields(cls):
-        if f.name in d and type(f.default) in _JSON_TYPES:
-            _check_value(prefix + f.name, d[f.name], type(f.default))
-
-
-def _sub_config(cls, d, section: str):
-    if not isinstance(d, dict):
-        raise BadConfig(f"{section} must be an object, got {d!r}")
-    unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-    if unknown:
-        raise BadConfig(f"unknown key(s) in {section!r}: {', '.join(unknown)}")
-    _check_types(cls, d, section + ".")
-    return cls(**d)
-
-
-# top-level config keys that the train and cv commands read themselves
-_CLI_KEYS = ("manifest", "val_fraction", "out_dir")
 # TrainConfig fields that train and cv also take as flags, overriding the file
 _OVERRIDES = {"seed": dict(type=int), "epochs": dict(type=int), "mode": dict(choices=tuple(TASKS))}
 
 
-def train_config_from_dict(d: dict) -> TrainConfig:
-    """An unknown key, top-level or nested, raises, and so does a known
-    value of the wrong JSON type. The top-level _CLI_KEYS (manifest,
-    val_fraction, out_dir) are allowed and left to the caller."""
+def train_config_from_dict(d) -> TrainConfig:
+    """The TrainConfig of a run config object, by data.read; the RunKeys keys
+    are left to the caller."""
+    if isinstance(d, dict):
+        d = {k: v for k, v in d.items() if k not in RunKeys.__dataclass_fields__}
+    cfg = read(TrainConfig, d, "config")
+    if cfg.augment.channel_means is not None:
+        raise BadConfig(f"config.augment.channel_means is fitted by training and cannot be "
+                        f"set, got {cfg.augment.channel_means!r}")
+    return cfg
+
+
+def synth_spec_from_dict(d) -> SynthSpec:
+    """The SynthSpec of a spec object, by data.read. Instead of R, a spec may
+    give correlation_strength (default 0.9) for planted_correlation's R.
+    Every error is a BadSpec."""
     if not isinstance(d, dict):
-        raise BadConfig(f"config must be an object, got {d!r}")
-    unknown = sorted(set(d) - set(TrainConfig.__dataclass_fields__) - set(_CLI_KEYS))
-    if unknown:
-        raise BadConfig(f"unknown config key(s): {', '.join(unknown)}")
-    d = {k: v for k, v in d.items() if k not in _CLI_KEYS}
-    net = _sub_config(NetConfig, d.pop("net", {}), "net")
-    plateau = _sub_config(PlateauConfig, d.pop("plateau", {}), "plateau")
-    augment = _sub_config(AugmentConfig, d.pop("augment", {}), "augment")
-    if augment.channel_means is not None:
-        raise BadConfig(f"augment.channel_means is fitted by training and cannot be set, "
-                        f"got {augment.channel_means!r}")
-    _check_types(TrainConfig, d)
-    return TrainConfig(net=net, plateau=plateau, augment=augment, **d)
+        raise BadSpec(f"spec must be an object, got {d!r}")
+    strength = d.get("correlation_strength", 0.9)
+    try:
+        check_type("spec.correlation_strength", strength, float)
+        rest = {k: v for k, v in d.items() if k != "correlation_strength"}
+        spec = read(SynthSpec, {"R": None, **rest}, "spec")
+        if "image_size" in d:
+            spec.image_size = tuple(read_list("spec.image_size", d["image_size"], int, 3))
+        if "R" in d:
+            rows = read_list("spec.R", d["R"], list, spec.P)
+            spec.R = np.array([read_list("spec.R", row, float, spec.Q) for row in rows],
+                              dtype=np.float64)
+        else:
+            spec.R = planted_correlation(spec.P, spec.Q, strength)
+    except BadConfig as e:
+        raise BadSpec(str(e)) from None
+    return spec
 
 
 def _run_config(args):
-    """The raw config file and its checked TrainConfig with the _OVERRIDES flags
-    applied, so a bad value fails before train creates its output directory."""
+    """The raw config file, its RunKeys, and its TrainConfig with the _OVERRIDES
+    flags applied, checked so a bad value fails before train creates its output
+    directory."""
     raw = _load_json(args.config)
     cfg = train_config_from_dict(raw)
-    if not isinstance(raw.get("manifest"), str):
-        raise BadConfig(f"manifest must be a path string, got {raw.get('manifest')!r}")
+    keys = read(RunKeys, {k: v for k, v in raw.items() if k in RunKeys.__dataclass_fields__},
+                "config")
     cfg = replace(cfg, **{k: getattr(args, k) for k in _OVERRIDES if getattr(args, k) is not None})
     _check_config(cfg)
-    return raw, cfg
+    return raw, keys, cfg
 
 
 def _load_model(checkpoint, manifest):
     """The net, fitted AugmentConfig and mode of a checkpoint, and a
     manifest's dataset of matching dimensions."""
     net, _, state = load_checkpoint(checkpoint)
-    if "augment" not in state:
-        raise CheckpointError(f"{checkpoint}: state blob lacks augment")
     try:
-        aug = _sub_config(AugmentConfig, state["augment"], "augment")
-        means, c = aug.channel_means, net.config.in_channels
-        if not isinstance(means, list) or len(means) != c:
-            raise BadConfig(f"augment.channel_means must be {c} numbers, got {means!r}")
-        for m in means:
-            _check_value("augment.channel_means", m, float)
+        aug = read(AugmentConfig, state.get("augment"), "augment")
+        read_list("augment.channel_means", aug.channel_means, float, net.config.in_channels)
         check_augment(aug)
     except BadConfig as e:
         raise CheckpointError(f"{checkpoint}: bad augment state: {e}") from None
@@ -146,7 +138,7 @@ def _load_model(checkpoint, manifest):
         raise DimensionMismatch(
             f"checkpoint has P={net.P}, Q={net.Q}; dataset has P={ds.P}, Q={ds.Q}"
         )
-    return net, aug, state.get("mode", "mtl"), ds
+    return net, aug, state["mode"], ds
 
 
 # ---------------------------------------------------------------------------
@@ -154,44 +146,24 @@ def _load_model(checkpoint, manifest):
 
 
 def cmd_synth(args):
-    spec_dict = _load_json(args.spec)
-    if not isinstance(spec_dict, dict) or not {"P", "Q", "N"} <= set(spec_dict):
-        raise BadSpec(f"{args.spec}: spec must be an object with P, Q and N")
-    try:
-        p, q = int(spec_dict["P"]), int(spec_dict["Q"])
-        if "R" in spec_dict:
-            r = np.asarray(spec_dict["R"], dtype=np.float64)
-        else:
-            r = planted_correlation(p, q, float(spec_dict.get("correlation_strength", 0.9)))
-        spec = SynthSpec(
-            P=p, Q=q, N=int(spec_dict["N"]), R=r,
-            noise=float(spec_dict.get("noise", 0.08)),
-            image_size=tuple(int(n) for n in spec_dict.get("image_size", (3, 32, 32))),
-            seed=int(spec_dict.get("seed", 0)) if args.seed is None else args.seed,
-            multi_rate=float(spec_dict.get("multi_rate", 0.3)),
-            lesion_amplitude=float(spec_dict.get("lesion_amplitude", 0.10)),
-        )
-    except (TypeError, ValueError, OverflowError) as e:
-        raise BadSpec(f"{args.spec}: bad spec value: {e}") from None
-    ds = synthesize(spec)
-    manifest = save_manifest(ds, args.out_dir)
+    spec = synth_spec_from_dict(_load_json(args.spec))
+    if args.seed is not None:
+        spec.seed = args.seed
+    manifest = save_manifest(synthesize(spec), args.out_dir)
     print(manifest)
     return 0
 
 
 def cmd_train(args):
-    raw, cfg = _run_config(args)
-    val_fraction = raw.get("val_fraction", 0.1)
-    _check_value("val_fraction", val_fraction, float)
-    if not 0 <= val_fraction < 1:
-        raise BadConfig(f"val_fraction must lie in [0, 1), got {val_fraction!r}")
-    out_dir = args.out_dir or raw.get("out_dir", ".")
-    _check_value("out_dir", out_dir, str)
-    ds = load_manifest(raw["manifest"])
+    raw, keys, cfg = _run_config(args)
+    if not 0 <= keys.val_fraction < 1:
+        raise BadConfig(f"config.val_fraction must lie in [0, 1), got {keys.val_fraction!r}")
+    out_dir = args.out_dir or keys.out_dir
+    ds = load_manifest(keys.manifest)
     os.makedirs(out_dir, exist_ok=True)
 
     rng = np.random.default_rng(cfg.seed)
-    n_val = int(round(len(ds) * val_fraction))
+    n_val = int(round(len(ds) * keys.val_fraction))
     perm = rng.permutation(len(ds))
     val_samples = [ds.samples[i] for i in perm[:n_val]]
     train_samples = [ds.samples[i] for i in perm[n_val:]]
@@ -200,21 +172,22 @@ def cmd_train(args):
     best = {"val_loss": None}
     best_path = os.path.join(out_dir, "best.ckpt")
 
+    def save(path, opt, aug, epoch):
+        save_checkpoint(path, net, opt.buffers, {"optimizer": opt.state(), "epoch": epoch,
+                                                 "mode": cfg.mode, "augment": asdict(aug)})
+
     def on_epoch(record, opt, aug):
         vl = record.get("val_loss")
         if vl is not None and (best["val_loss"] is None or vl < best["val_loss"]):
             best["val_loss"] = vl
-            save_checkpoint(best_path, net, opt.buffers,
-                            {"optimizer": opt.state(), "epoch": record["epoch"],
-                             "mode": cfg.mode, "augment": asdict(aug)})
+            save(best_path, opt, aug, record["epoch"])
 
     log, opt, aug = train(net, train_samples, val_samples, cfg, on_epoch=on_epoch)
     # the last main epoch that ran; None when only the warm-up (or nothing) ran
-    state = {"optimizer": opt.state(), "epoch": log[-1]["epoch"] if log else None,
-             "mode": cfg.mode, "augment": asdict(aug)}
-    save_checkpoint(os.path.join(out_dir, "final.ckpt"), net, opt.buffers, state)
+    epoch = log[-1]["epoch"] if log else None
+    save(os.path.join(out_dir, "final.ckpt"), opt, aug, epoch)
     if best["val_loss"] is None:
-        save_checkpoint(best_path, net, opt.buffers, state)
+        save(best_path, opt, aug, epoch)
     with open(os.path.join(out_dir, "log.jsonl"), "w") as f:
         for record in log:
             f.write(json.dumps(record, sort_keys=True) + "\n")
@@ -266,9 +239,8 @@ def cmd_ensemble(args):
 
 
 def cmd_cv(args):
-    raw, cfg = _run_config(args)
-    ds = load_manifest(raw["manifest"])
-    report = cross_validate(ds, cfg)
+    _, keys, cfg = _run_config(args)
+    report = cross_validate(load_manifest(keys.manifest), cfg)
     _emit_report(report, args.report_out)
     return 0
 

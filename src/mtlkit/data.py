@@ -37,12 +37,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import lru_cache
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import (
+    BadConfig,
     BadSpec,
     CropTooLarge,
     MissingImage,
@@ -99,6 +102,53 @@ class AugmentConfig:
     flip_prob: float = 0.5
     eval_scale: int = 36
     channel_means: tuple | None = None   # per-channel floats; train fits them
+
+
+# ---------------------------------------------------------------------------
+# JSON configs: run configs, synth specs and checkpoint state, not manifests
+
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
+
+
+def check_type(key: str, value, kind: type):
+    """Raise BadConfig naming key unless value is a JSON kind: a float takes an
+    int that a float can hold, and no number takes true or false."""
+    if (not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind is not bool)
+            or (kind is float and isinstance(value, int) and abs(value) > sys.float_info.max)):
+        raise BadConfig(f"{key} must be {kind.__name__}, got {value!r}")
+
+
+def read_list(key: str, value, kind: type, n: int) -> list:
+    """value, checked to be a JSON list of n values of type kind."""
+    if not isinstance(value, list) or len(value) != n:
+        raise BadConfig(f"{key} must be a list of {n} {kind.__name__}s, got {value!r}")
+    for x in value:
+        check_type(key, x, kind)
+    return value
+
+
+def read(cls, d, section: str):
+    """The dataclass cls read from the JSON object d, which has no unknown key
+    and every field without a default. A value passes check_type for its
+    field's annotation or, for a dataclass field, is read in turn; other
+    fields are the caller's to check. A BadConfig names the key section.field."""
+    if not isinstance(d, dict):
+        raise BadConfig(f"{section} must be an object, got {d!r}")
+    kinds = get_type_hints(cls)
+    unknown = sorted(set(d) - set(kinds))
+    if unknown:
+        raise BadConfig(f"unknown key(s): {', '.join(f'{section}.{k}' for k in unknown)}")
+    d = dict(d)
+    for name, kind in kinds.items():
+        if name in d and is_dataclass(kind):
+            d[name] = read(kind, d[name], f"{section}.{name}")
+        elif name in d and kind in _JSON_TYPES:
+            check_type(f"{section}.{name}", d[name], kind)
+    missing = [f"{section}.{f.name}" for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise BadConfig(f"missing key(s): {', '.join(missing)}")
+    return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +343,7 @@ def synthesize(spec: SynthSpec) -> Dataset:
         raise BadSpec(f"invalid sizes P={spec.P} Q={spec.Q} N={spec.N}")
     if r.shape != (spec.P, spec.Q):
         raise BadSpec(f"R must be {spec.P}x{spec.Q}, got {r.shape}")
-    if (r < 0).any() or np.abs(r.sum(axis=1) - 1.0).max() > 1e-9:
+    if (r < 0).any() or not np.abs(r.sum(axis=1) - 1.0).max() <= 1e-9:   # NaN fails too
         raise BadSpec("R rows must be nonnegative and sum to 1 within 1e-9")
     if len(spec.image_size) != 3 or min(spec.image_size) < 1:
         raise BadSpec(f"image_size must be 3 positive sizes (C, H, W), got {spec.image_size}")

@@ -29,6 +29,7 @@ from itertools import islice
 import numpy as np
 
 from . import tensor as T
+from .data import read
 from .errors import BadConfig, CheckpointError, ShapeMismatch
 from .objective import TASKS
 
@@ -202,7 +203,8 @@ def save_checkpoint(path, net: DualHeadNet, momentum_buffers=None, state=None):
 
 
 def load_checkpoint(path):
-    """Rebuild the net from a checkpoint; returns (net, momentum_buffers, state)."""
+    """Rebuild the net from a checkpoint; returns (net, momentum_buffers, state),
+    where the state's mode is "mtl" when the file names none."""
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -236,25 +238,35 @@ def load_checkpoint(path):
     missing = [k for k in ("config", "P", "Q", "seed") if k not in state]
     if missing:
         raise CheckpointError(f"{path}: state blob lacks {', '.join(missing)}")
-    mode = state.get("mode", "mtl")   # a state without one is read as an mtl run's
+    mode = state.setdefault("mode", "mtl")   # a state without one is read as an mtl run's
     if not isinstance(mode, str) or mode not in TASKS:
         raise CheckpointError(f"{path}: unknown mode {mode!r}, not one of {tuple(TASKS)}")
     try:
-        config, P, Q = NetConfig(**state.pop("config")), state.pop("P"), state.pop("Q")
+        config = read(NetConfig, state.pop("config"), "config")
+        P, Q = state.pop("P"), state.pop("Q")
         # check the shapes before building: a huge P or width would allocate
         # first; the table is read one entry past the arrays and no further
         table = list(islice(param_table(config, P, Q), len(arrays) + 1))
         if [a.shape for a in arrays] != [shape for _, shape, _, _ in table]:
             raise CheckpointError(f"{path}: stored parameter shapes do not match the "
                                   f"net config, P={P!r} and Q={Q!r}")
+        # inference runs in float32, where a larger parameter would overflow silently
+        for (name, *_), a in zip(table, arrays):
+            if not np.all(np.abs(a) <= np.finfo(np.float32).max):
+                raise CheckpointError(f"{path}: parameter {name} is not finite or exceeds "
+                                      f"float32's range")
         if buffers:
             # one per parameter the stored mode trains; every parameter without a mode
-            trained = [shape for _, shape, _, task in table if task in (None, *TASKS[mode])]
-            if [b.shape for b in buffers] != trained:
+            trained = [(name, shape) for name, shape, _, task in table
+                       if task in (None, *TASKS[mode])]
+            if [b.shape for b in buffers] != [shape for _, shape in trained]:
                 raise CheckpointError(f"{path}: stored momentum buffers do not match the "
                                       f"parameters that mode {mode!r} trains")
+            for (name, _), b in zip(trained, buffers):
+                if not np.isfinite(b).all():
+                    raise CheckpointError(f"{path}: the momentum buffer of {name} is not finite")
         net = DualHeadNet(config, P, Q, state.pop("seed"))
-    except (TypeError, ValueError) as e:
+    except (BadConfig, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad net config or dimensions: {e}") from None
     net.set_parameters(arrays)
     return net, buffers, state

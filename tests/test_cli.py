@@ -319,6 +319,37 @@ def test_retrieve_on_an_overflowing_checkpoint_fails_in_one_line(workspace, tmp_
     assert not report.exists()
 
 
+def _scale_conv1_w(net, bufs):
+    net.conv1_w.data = net.conv1_w.data * 1e40
+
+
+def _nan_in_conv1_w(net, bufs):
+    net.conv1_w.data[0, 0, 0, 0] = np.nan
+
+
+def _nan_in_its_buffer(net, bufs):
+    bufs[0][0, 0, 0, 0] = np.nan
+
+
+@pytest.mark.parametrize("command", ["eval", "retrieve", "attention"])
+@pytest.mark.parametrize("edit, what", [
+    (_scale_conv1_w, "parameter conv1_w"), (_nan_in_conv1_w, "parameter conv1_w"),
+    (_nan_in_its_buffer, "momentum buffer of conv1_w"),
+], ids=["scaled-1e40", "nan", "buffer-nan"])
+def test_overflowing_checkpoint_fails_in_one_line(workspace, tmp_path, capsys, command, edit,
+                                                  what):
+    # past float32's range a parameter overflows the float32 forward, whose relu
+    # turns the NaN into 0, so every sample would get the same scores
+    net, bufs, state = load_checkpoint(workspace["ckpt"])
+    edit(net, bufs)
+    bad = str(tmp_path / "bad.ckpt")
+    save_checkpoint(bad, net, bufs, state)
+    capsys.readouterr()
+    assert main(_argv(command, workspace, tmp_path, ckpt=bad)) == 1
+    line = _single_error(capsys, "CheckpointError")
+    assert bad in line and f"{what} is not finite" in line
+
+
 def test_attention_command(workspace, tmp_path):
     ds = load_manifest(workspace["manifest"])
     sid = ds.samples[0].id
@@ -427,6 +458,7 @@ def test_val_fraction_outside_unit_interval_is_bad_config(workspace, tmp_path, c
 @pytest.mark.parametrize("key, value", [
     ("net", None), ("plateau", [1]), ("augment", "x"), ("lr", "0.1"), ("epochs", 2.5),
     ("batch_size", True), ("mode", 3), ("use_ten_crop", 1), ("manifest", None),
+    pytest.param("lr", 10**400, id="lr-int-past-float"),   # an int no float can hold
 ])
 @pytest.mark.parametrize("command", ["train", "cv"])
 def test_wrongly_typed_config_value_is_bad_config(workspace, tmp_path, capsys, key, value,
@@ -531,7 +563,9 @@ def test_float_fields_accept_ints():
 
 
 @pytest.mark.parametrize("command", ["train", "cv", "synth"])
-@pytest.mark.parametrize("content", [None, '{"manifest": ', "\xff\xfe"])
+# an int of more than 4300 digits is a ValueError to json.load
+@pytest.mark.parametrize("content", [None, '{"manifest": ', "\xff\xfe", pytest.param(
+    '{"lr": 1' + "0" * 5000 + "}", id="int-of-5001-digits")])
 def test_unreadable_config_file_is_bad_config(tmp_path, capsys, command, content):
     path = tmp_path / "cfg.json"
     if content is not None:
@@ -627,7 +661,13 @@ def test_missing_checkpoint_fails_in_one_line(workspace, tmp_path, capsys, comma
 @pytest.mark.parametrize("spec", [
     {"Q": 3, "N": 4}, [1, 2], dict(SPEC, image_size=5), dict(SPEC, image_size=[3, 0, 4]),
     dict(SPEC, Q=1), dict(SPEC, N="many"),
-], ids=["no-P", "list", "image-size-int", "image-size-zero", "one-location", "N-string"])
+    # a misspelled key would give data of the default strength 0.9 without a word
+    dict(SPEC, correlation_strenght=0.34), dict(SPEC, P=3.9), dict(SPEC, N=True),
+    dict(SPEC, noise="0.1"), dict(SPEC, image_size=[3, "12", 12]),
+    dict(SPEC, correlation_strength=10**400), dict(SPEC, correlation_strength=float("nan")),
+], ids=["no-P", "list", "image-size-int", "image-size-zero", "one-location", "N-string",
+        "strength-typo", "P-float", "N-bool", "noise-string", "image-size-string",
+        "strength-huge-int", "strength-nan"])
 def test_bad_synth_spec_fails_in_one_line(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -744,7 +784,8 @@ def _nest(section, **extra):
     lambda state: dict(state, P=2**40), lambda state: dict(state, Q=state["Q"] + 1),
     lambda state: dict(state, P="3"), _nest("config", width=2**20),
     _nest("config", blocks=2**40), _nest("config", blocks=2.0),
-    lambda state: dict(state, seed=-1),
+    lambda state: dict(state, seed=-1), _nest("config", blocks=True),
+    _nest("config", head_w_mult="ten"),
     # the fitted augment state: scoring would run on wrongly scaled or centred inputs
     _drop("augment"), _nest("augment", channel_means=None),
     _nest("augment", channel_means=[0.1]), _nest("augment", channel_means=[0.1, 0.2]),
@@ -756,7 +797,8 @@ def _nest(section, **extra):
     lambda state: dict(state, mode="both"), lambda state: dict(state, mode=None),
 ], ids=["not-object", "no-config", "no-P", "no-Q", "no-seed", "config-unknown-key",
         "augment-unknown-key", "huge-P", "Q-off-by-one", "P-string", "huge-width",
-        "huge-blocks", "float-blocks", "negative-seed", "no-augment", "means-null",
+        "huge-blocks", "float-blocks", "negative-seed", "bool-blocks", "string-head-w-mult",
+        "no-augment", "means-null",
         "means-one", "means-two", "means-strings", "crop-string", "eval-scale-null",
         "crop-zero", "flip-prob-above-one", "jitter-min-above-max",
         "eval-scale-below-crop", "jitter-min-below-crop", "mode-unknown", "mode-null"])

@@ -320,7 +320,7 @@ class TestCheckpoint:
             assert np.array_equal(pa.tensor.data, pb.tensor.data)
         for ba, bb in zip(bufs, lbufs):
             assert np.array_equal(ba, bb)
-        assert state["epoch"] == 4
+        assert state["epoch"] == 4 and state["mode"] == "mtl"   # a state without a mode is mtl
         assert loaded.P == net.P and loaded.Q == net.Q
 
     def test_set_parameters_takes_one_array_per_parameter(self):
