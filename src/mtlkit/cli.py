@@ -158,9 +158,12 @@ def cmd_train(args):
     raw, keys, cfg = _run_config(args)
     if not 0 <= keys.val_fraction < 1:
         raise BadConfig(f"config.val_fraction must lie in [0, 1), got {keys.val_fraction!r}")
-    out_dir = args.out_dir or keys.out_dir
+    out_dir = keys.out_dir if args.out_dir is None else args.out_dir
     ds = load_manifest(keys.manifest)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:  # an empty path, or one beneath a regular file
+        raise BadConfig(f"cannot create out_dir {out_dir!r}: {e.strerror}") from None
 
     rng = np.random.default_rng(cfg.seed)
     n_val = int(round(len(ds) * keys.val_fraction))

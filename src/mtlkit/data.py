@@ -349,6 +349,8 @@ def synthesize(spec: SynthSpec) -> Dataset:
         raise BadSpec(f"image_size must be 3 positive sizes (C, H, W), got {spec.image_size}")
     if spec.noise < 0 or not (0 <= spec.multi_rate <= 1):
         raise BadSpec("noise must be >= 0 and multi_rate in [0, 1]")
+    if spec.seed < 0:  # np.random.default_rng takes no negative seed
+        raise BadSpec(f"need seed >= 0, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     width = len(str(spec.N - 1))
     samples = []

@@ -52,10 +52,10 @@ matmul, and the backward pass rebuilds the same bytes for the weight
 gradient from the x the graph already holds, trading one more im2col per
 backward for C*kh*kw times x's memory per conv (the rematerialisation of
 Chen et al., 2016, "Training Deep Nets with Sublinear Memory Cost").
-conv2d is same-padded only (stride 1, odd kh and kw, output H x W), and
-it builds the matrix without a padded copy: each tap's block
-is one contiguous copy of the flattened image shifted by the tap's offset,
-after which the rows and columns that read outside the image are zeroed.
+conv2d is same-padded only (stride 1, odd kh and kw, output H x W). It pads
+only the two ends of the flattened image, so one strided view over it holds
+every tap and one copy fills the matrix; rows above and below the image read
+the zero ends, and only the columns whose shift wraps a row are zeroed after.
 Its input gradient is the same im2col of the output gradient times the
 flipped kernel with its channel axes swapped: the unpadded (B, C, H, W)
 gradient with no col2im scatter. maxpool2d finds each window's winner on
@@ -260,28 +260,20 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
 
 
 def _im2col_same(x, kh, kw):
-    """im2col matrix (B, C*kh*kw, H*W) of x zero-padded by ph = (kh-1)/2 rows
-    and pw = (kw-1)/2 columns (odd kh, kw), pixels contiguous: row
-    c*kh*kw + i*kw + j, column r*W + s holds x[:, c, r + i - ph, s + j - pw],
-    or 0 outside the image. There is no padded copy: tap (i, j) is the
-    flattened image shifted by (i-ph)*W + (j-pw), one contiguous copy, and
-    then every row and column whose source lies outside the image is zeroed.
-    That covers each position the copy skips, so none stays unset."""
+    """C-contiguous im2col matrix (B, C*kh*kw, H*W) of x zero-padded by
+    ph = (kh-1)/2 rows and pw = (kw-1)/2 columns (odd kh, kw): row c*kh*kw +
+    i*kw + j, column r*W + s holds x[:, c, r + i - ph, s + j - pw], or 0 outside
+    the image. Tap (i, j) is the H*W window at i*W + j of the flat image padded
+    with m = ph*W + pw zeros at each end, so one strided view copies every tap
+    and rows outside the image read those zeros; only wrapped columns are zeroed."""
     bsz, c, h, wd = x.shape
     ph, pw, n = kh // 2, kw // 2, h * wd
-    src = x.reshape(bsz, c, n)
-    cols = np.empty((bsz, c, kh * kw, n), x.dtype)
-    for t in range(kh * kw):
-        d = (t // kw - ph) * wd + t % kw - pw
-        lo, hi = max(-d, 0), min(n - d, n)
-        if lo < hi:  # else the shift passes the whole image
-            cols[:, :, t, lo:hi] = src[:, :, lo + d : hi + d]
+    m = ph * wd + pw
+    flat = np.zeros((bsz, c, n + 2 * m), x.dtype)
+    flat[:, :, m : m + n] = x.reshape(bsz, c, n)
+    s0, s1, s2 = flat.strides
+    cols = np.ndarray((bsz, c, kh, kw, n), x.dtype, flat, 0, (s0, s1, wd * s2, s2, s2)).copy()
     taps = cols.reshape(bsz, c, kh, kw, h, wd)
-    for i in range(kh):  # output rows r with r + i - ph outside [0, H)
-        if i < ph:
-            taps[:, :, i, :, : ph - i] = 0.0
-        elif i > ph:
-            taps[:, :, i, :, max(h + ph - i, 0) :] = 0.0
     for j in range(kw):  # output columns s with s + j - pw outside [0, W)
         if j < pw:
             taps[:, :, :, j, :, : pw - j] = 0.0

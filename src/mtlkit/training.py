@@ -54,6 +54,8 @@ def _check_config(cfg):
                         f"and {cfg.aux_weight}")
     if cfg.n_folds < 2:
         raise BadConfig(f"need n_folds >= 2, got {cfg.n_folds}")
+    if cfg.seed < 0:  # np.random.default_rng takes no negative seed
+        raise BadConfig(f"need seed >= 0, got {cfg.seed}")
     pl = cfg.plateau
     if (not 0 < pl.factor <= 1 or pl.patience < 0 or not pl.min_lr >= 0
             or not 0 <= pl.rel_threshold < 1):

@@ -495,6 +495,7 @@ def _set(raw, key, value):
     ("plateau.patience", -1, "plateau.patience >= 0"),
     ("plateau.min_lr", -1.0, "plateau.min_lr >= 0"),
     ("plateau.rel_threshold", 1.0, "plateau.rel_threshold in [0, 1)"),
+    ("seed", -1, "seed >= 0"),
 ])
 @pytest.mark.parametrize("command", ["train", "cv"])
 def test_out_of_range_config_value_fails_before_any_output(workspace, tmp_path, capsys, key,
@@ -548,6 +549,40 @@ def test_negative_epochs_flag_fails_before_any_output(workspace, tmp_path, capsy
     assert main([command, workspace["cfg_path"], *out, "--epochs", "-3"]) == 1
     assert not (tmp_path / "run").exists()
     assert "-3" in _single_error(capsys, "BadConfig")
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "synth"])
+def test_negative_seed_flag_fails_before_any_output(workspace, tmp_path, capsys, command):
+    if command == "synth":
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC))
+        argv, error = ["synth", str(spec_path), str(tmp_path / "run")], "BadSpec"
+    else:
+        out = ["--out-dir", str(tmp_path / "run")] if command == "train" else []
+        argv, error = [command, workspace["cfg_path"], *out], "BadConfig"
+    capsys.readouterr()
+    assert main([*argv, "--seed", "-1"]) == 1
+    assert not (tmp_path / "run").exists()
+    assert "need seed >= 0, got -1" in _single_error(capsys, error)
+
+
+@pytest.mark.parametrize("where", ["config-empty", "config-under-file", "flag-empty",
+                                   "flag-under-file", "flag-is-file"])
+def test_unusable_out_dir_is_bad_config(workspace, tmp_path, capsys, where):
+    (tmp_path / "file").write_text("")
+    under_file = str(tmp_path / "file" / "run")
+    out_dir = {"config-empty": "", "config-under-file": under_file}.get(where,
+                                                                       str(tmp_path / "run"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(TINY_TRAIN, manifest=workspace["manifest"],
+                                        out_dir=out_dir)))
+    flag = {"flag-empty": "", "flag-under-file": under_file,
+            "flag-is-file": str(tmp_path / "file")}
+    argv = ["train", str(cfg_path), *(["--out-dir", flag[where]] if where in flag else [])]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert not (tmp_path / "run").exists()  # an empty flag does not fall back to the config's
+    assert "cannot create out_dir" in _single_error(capsys, "BadConfig")
 
 
 def test_non_object_config_is_bad_config(tmp_path, capsys):
@@ -665,9 +700,10 @@ def test_missing_checkpoint_fails_in_one_line(workspace, tmp_path, capsys, comma
     dict(SPEC, correlation_strenght=0.34), dict(SPEC, P=3.9), dict(SPEC, N=True),
     dict(SPEC, noise="0.1"), dict(SPEC, image_size=[3, "12", 12]),
     dict(SPEC, correlation_strength=10**400), dict(SPEC, correlation_strength=float("nan")),
+    dict(SPEC, seed=-1),
 ], ids=["no-P", "list", "image-size-int", "image-size-zero", "one-location", "N-string",
         "strength-typo", "P-float", "N-bool", "noise-string", "image-size-string",
-        "strength-huge-int", "strength-nan"])
+        "strength-huge-int", "strength-nan", "seed-negative"])
 def test_bad_synth_spec_fails_in_one_line(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))

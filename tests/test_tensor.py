@@ -398,18 +398,30 @@ class TestKernelReference:
 # bitwise pins: each fast path against a copy of the slice / stack code it replaced
 
 
+def im2col(xp, kh, kw, ho, wo, off=0):
+    """The (B, C*kh*kw, ho*wo) im2col matrix of an already padded xp, one
+    strided slice per tap."""
+    bsz, c = xp.shape[:2]
+    cols = np.empty((bsz, c, kh, kw, ho, wo), xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, off + i : off + i + ho, off + j : off + j + wo]
+    return cols.reshape(bsz, c * kh * kw, ho * wo)
+
+
+def im2col_padded(x, kh, kw):
+    """im2col of x zero-padded by kh//2 rows and kw//2 columns, by a padded copy."""
+    bsz, c, h, wd = x.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((bsz, c, h + 2 * ph, wd + 2 * pw), x.dtype)
+    xp[:, :, ph : ph + h, pw : pw + wd] = x
+    return im2col(xp, kh, kw, h, wd)
+
+
 def conv2d_slices(x, w, b, g, padding):
     """Stride-1 conv2d by a padded copy and one strided slice per tap, with
     the input gradient taken from the zero-framed g: (out, gw, gx, gb) in
     x's dtype, by the same matmul calls as conv2d."""
-    def im2col(xp, kh, kw, ho, wo, off=0):
-        bsz, c = xp.shape[:2]
-        cols = np.empty((bsz, c, kh, kw, ho, wo), xp.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, :, i, j] = xp[:, :, off + i : off + i + ho, off + j : off + j + wo]
-        return cols.reshape(bsz, c * kh * kw, ho * wo)
-
     bsz, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     xp = np.zeros((bsz, cin, h + 2 * padding, wd + 2 * padding), x.dtype)
@@ -458,6 +470,43 @@ DTYPES = [np.float32, np.float64]
 
 
 class TestBitwisePins:
+    @staticmethod
+    def check_im2col(x, kh, kw):
+        cols = T._im2col_same(x, kh, kw)
+        want = im2col_padded(x, kh, kw)
+        assert cols.flags.c_contiguous
+        assert cols.dtype == want.dtype == x.dtype and cols.shape == want.shape
+        assert cols.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (5, 5), (7, 7), (1, 3), (3, 1),
+                                        (3, 5), (7, 3), (1, 7)])
+    def test_im2col_matches_a_padded_copy(self, dtype, kernel):
+        # (1, 1) to (4, 2) lie inside a 5 x 5 or 7 x 7 kernel's reach: the
+        # zero ends there are longer than the image
+        rng = np.random.default_rng(list(kernel))
+        for h, wd in [(1, 1), (1, 6), (5, 1), (2, 3), (4, 2), (6, 7), (9, 8)]:
+            x = rng.normal(size=(2, 3, h, wd)).astype(dtype)
+            border = np.zeros((h, wd), bool)
+            border[[0, -1], :] = border[:, [0, -1]] = True
+            for c in range(3):  # the specials, shifted per channel, on every border pixel
+                vals = np.roll(np.resize(specials(dtype), border.sum()), 5 * c)
+                x[0, c][border] = vals
+                x[1, c][border] = vals[::-1]
+            self.check_im2col(x, *kernel)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("layout", ["transposed", "broadcast"])
+    def test_im2col_reads_a_non_contiguous_input(self, rng, dtype, layout):
+        if layout == "transposed":
+            x = rng.normal(size=(2, 3, 6, 5)).astype(dtype).transpose(0, 1, 3, 2)
+        else:  # the zero-stride gradient global_avg_pool's backward returns
+            g = rng.normal(size=(2, 3)).astype(dtype)
+            x = np.broadcast_to(g[:, :, None, None] / 30, (2, 3, 5, 6))
+        assert not x.flags.c_contiguous
+        for kernel in [(1, 1), (3, 3), (5, 3)]:
+            self.check_im2col(x, *kernel)
+
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("kernel", [1, 3, 5])
     @pytest.mark.parametrize("trial", range(4))
