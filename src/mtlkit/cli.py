@@ -146,6 +146,8 @@ def _load_model(checkpoint, manifest):
 
 
 def cmd_synth(args):
+    if not args.out_dir:   # "" would write into the current directory
+        raise BadConfig("synth needs a non-empty out_dir, got ''")
     spec = synth_spec_from_dict(_load_json(args.spec))
     if args.seed is not None:
         spec.seed = args.seed
@@ -392,7 +394,9 @@ def main(argv=None) -> int:
         # so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except MtlkitError as e:
+    # each reader raises its own error for an input it cannot read, so an OSError
+    # here is an output that cannot be written, or cv's os.fork or os.pipe failing
+    except (MtlkitError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

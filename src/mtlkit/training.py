@@ -199,53 +199,39 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _fit_folds(ds, cfg, split, folds, stop=lambda f: False):
-    """Train each fold's net in turn until stop(fold) is true, on the samples
-    whose split entry (fold index) differs from it; returns {fold: (parameter
-    arrays, fitted AugmentConfig)}, or {fold: exception} alone for the first
-    fold that fails, so a failing child's result fits in its pipe."""
+def _fit_folds(fit, folds, stop=lambda f: False):
+    """Run fit(f) for each fold f in turn until stop(f) is true; returns
+    {fold: fit(fold)}, or {fold: exception} alone for the first fold that
+    fails, so a failing child's result fits in its pipe."""
     fitted = {}
     for f in folds:
         if stop(f):
             break
         try:
-            fold_cfg = replace(cfg, seed=cfg.seed + f)
-            net = DualHeadNet(cfg.net, ds.P, ds.Q, seed=fold_cfg.seed)
-            train_samples = [s for s, g in zip(ds.samples, split) if g != f]
-            _, _, aug = train(net, train_samples, None, fold_cfg)
-            fitted[f] = ([p.tensor.data for p in net.parameters()], aug)
+            fitted[f] = fit(f)
         except Exception as e:
             return {f: e}
     return fitted
 
 
-def _fit_in_child(w, ds, cfg, split, folds):
+def _fit_in_child(w, fit, folds):
     """Forked child: pickle _fit_folds' result into pipe fd w and leave
     through os._exit, never unwinding into the caller's stack or flushing
     its stdio; the exit status is 0 only once the result is written."""
     status = 1
     try:
         with os.fdopen(w, "wb") as pipe:
-            pickle.dump(_fit_folds(ds, cfg, split, folds), pipe)
+            pickle.dump(_fit_folds(fit, folds), pipe)
         status = 0
     finally:
         os._exit(status)
 
 
-def _child_result(data, code, folds):
-    """A child's unpickled result, or WorkerDied at its first fold if it
-    ended (exit code ``code``) without writing one."""
-    if code == 0:
-        return pickle.loads(data)
-    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-    return {folds[0]: WorkerDied(f"the process training fold{'s' * (len(folds) > 1)} "
-                                 f"{', '.join(map(str, folds))} ended without a result ({how})")}
-
-
 def _reap(children, fitted, wait=lambda folds: False):
     """Move into fitted the result of each child that has exited, or whose
-    folds ``wait`` accepts, and reap it; a reaped child leaves children at
-    once, so the cleanup never signals its pid."""
+    folds ``wait`` accepts (WorkerDied at its first fold if it wrote none),
+    and reap it; a reaped child leaves children at once, so the cleanup
+    never signals its pid."""
     for pid, (pipe, folds) in list(children.items()):
         if wait(folds):
             data = pipe.read()   # first: the child blocks until its result is read
@@ -258,31 +244,25 @@ def _reap(children, fitted, wait=lambda folds: False):
         del children[pid]
         with pipe:
             data += pipe.read()
-        fitted.update(_child_result(data, os.waitstatus_to_exitcode(status), folds))
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0:
+            fitted.update(pickle.loads(data))
+            continue
+        how = f"(killed by signal {-code})" if code < 0 else f"(exit status {code})"
+        owned = f"fold{'s' * (len(folds) > 1)} {', '.join(map(str, folds))}"
+        fitted[folds[0]] = WorkerDied(f"the process training {owned} ended without a result {how}")
 
 
-def cross_validate(ds: Dataset, cfg: TrainConfig):
-    """K-fold cross-validation over assign_folds(len(ds), cfg.n_folds,
-    cfg.seed); per-fold seeds are cfg.seed + fold index.
-
-    Each fold trains a fresh net on the remaining folds and evaluates on
-    the held-out one, so every sample is scored exactly once, and reports
-    the metrics of the tasks cfg.mode trains (metrics.task_report). The folds
-    are dealt round-robin to n = min(folds, usable CPUs) processes: this
-    one and n - 1 forked children, which send back parameters and fitted
-    AugmentConfigs. This process scores every fold in fold order, so the
-    report equals the serial one bit for bit, and a failure raises the
-    lowest-numbered failing fold's exception, as the serial loop would.
-    Before each fold of its own this process collects the children that
-    have exited, and it stops once a lower fold is known to have failed.
-    """
-    _check_config(cfg)
-    if cfg.n_folds > len(ds):
-        raise BadConfig(f"need n_folds <= the {len(ds)} samples, got {cfg.n_folds}")
-    split = assign_folds(len(ds), cfg.n_folds, cfg.seed)
-    fold_ids = list(range(cfg.n_folds))
-    n = min(len(fold_ids), _usable_cpus())
-    fitted = {}     # fold -> (parameter arrays, fitted AugmentConfig) or its exception
+def _run_folds(fit, n_folds):
+    """[fit(0), ..., fit(n_folds - 1)], the folds dealt round-robin to n =
+    min(n_folds, usable CPUs) processes: this one fits folds 0, n, 2n, ...
+    and n - 1 forked children the rest, pickling back what fit returns. A
+    failure raises the lowest-numbered failing fold's exception, as a serial
+    loop would. Before each fold of its own this process collects the
+    children that have exited, and it stops once a lower fold has failed."""
+    folds = list(range(n_folds))
+    n = min(n_folds, _usable_cpus())
+    fitted = {}     # fold -> fit(fold) or its exception
     children = {}   # pid -> (read end of its pipe, its folds), until reaped
 
     def failed_below(fold):
@@ -297,13 +277,13 @@ def cross_validate(ds: Dataset, cfg: TrainConfig):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _fit_in_child(w, ds, cfg, split, fold_ids[rank::n])
+                _fit_in_child(w, fit, folds[rank::n])
             os.close(w)
-            children[pid] = (os.fdopen(r, "rb"), fold_ids[rank::n])
-        fitted.update(_fit_folds(ds, cfg, split, fold_ids[::n], stop))
+            children[pid] = (os.fdopen(r, "rb"), folds[rank::n])
+        fitted.update(_fit_folds(fit, folds[::n], stop))
         # a child whose first fold follows a known failure cannot change the outcome
         _reap(children, fitted, wait=lambda folds: not failed_below(folds[0]))
-        failed = [f for f in fold_ids if isinstance(fitted.get(f), Exception)]
+        failed = [f for f in folds if isinstance(fitted.get(f), Exception)]
         if failed:
             raise fitted[failed[0]]
     finally:
@@ -311,11 +291,31 @@ def cross_validate(ds: Dataset, cfg: TrainConfig):
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    return [fitted[f] for f in folds]
+
+
+def cross_validate(ds: Dataset, cfg: TrainConfig):
+    """K-fold cross-validation over assign_folds(len(ds), cfg.n_folds, cfg.seed).
+
+    Fold f trains a fresh net, seeded cfg.seed + f, on the other folds and
+    is scored on its own, so every sample is scored once, on the tasks
+    cfg.mode trains (metrics.task_report). _run_folds trains the folds; this
+    process scores them in fold order, so the report is a serial run's, bit
+    for bit.
+    """
+    _check_config(cfg)
+    if cfg.n_folds > len(ds):
+        raise BadConfig(f"need n_folds <= the {len(ds)} samples, got {cfg.n_folds}")
+    split = assign_folds(len(ds), cfg.n_folds, cfg.seed)
+
+    def fit(f):
+        fold_cfg = replace(cfg, seed=cfg.seed + f)
+        net = DualHeadNet(cfg.net, ds.P, ds.Q, seed=fold_cfg.seed)
+        _, _, aug = train(net, [s for s, g in zip(ds.samples, split) if g != f], None, fold_cfg)
+        return net, aug
+
     fold_reports = []
-    for f in fold_ids:
-        arrays, aug = fitted[f]
-        net = DualHeadNet(cfg.net, ds.P, ds.Q, seed=cfg.seed + f)
-        net.set_parameters(arrays)
+    for f, (net, aug) in enumerate(_run_folds(fit, cfg.n_folds)):
         test = [s for s, g in zip(ds.samples, split) if g == f]
         scores = evaluate_scores(net, test, aug, cfg.batch_size, use_ten_crop=cfg.use_ten_crop)
         fold_reports.append({**metrics.task_report(objective.TASKS[cfg.mode], scores,

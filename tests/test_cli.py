@@ -14,7 +14,7 @@ import pytest
 from mtlkit import training
 from mtlkit.cli import main, train_config_from_dict
 from mtlkit.data import load_manifest
-from mtlkit.network import load_checkpoint, save_checkpoint
+from mtlkit.network import DualHeadNet, NetConfig, load_checkpoint, save_checkpoint
 from mtlkit.objective import TASKS
 from mtlkit.training import TrainConfig
 
@@ -583,6 +583,70 @@ def test_unusable_out_dir_is_bad_config(workspace, tmp_path, capsys, where):
     assert main(argv) == 1
     assert not (tmp_path / "run").exists()  # an empty flag does not fall back to the config's
     assert "cannot create out_dir" in _single_error(capsys, "BadConfig")
+
+
+def _output_argv(command, workspace, tmp_path, out):
+    """argv of command writing its output (a file or directory) to out."""
+    ckpt, manifest = workspace["ckpt"], workspace["manifest"]
+    sid = load_manifest(manifest).samples[0].id
+    if command == "ensemble":
+        scores = _score_csv(workspace, tmp_path)
+        return ["ensemble", scores, scores, "--labels", manifest, "--report-out", out]
+    return {"synth": ["synth", str(workspace["root"] / "spec.json"), out],
+            "eval-report": ["eval", ckpt, manifest, "--report-out", out],
+            "eval-scores": ["eval", ckpt, manifest, "--scores-out", out],
+            "cv": ["cv", workspace["cfg_path"], "--report-out", out],
+            "correlate": ["correlate", manifest, "--out", out],
+            "retrieve": ["retrieve", ckpt, manifest, "--report-out", out],
+            "attention": ["attention", ckpt, manifest, "--id", sid, "--out-dir", out]}[command]
+
+
+# train reports its own out_dir as a BadConfig (test_unusable_out_dir_is_bad_config)
+@pytest.mark.parametrize("command", ["synth", "eval-report", "eval-scores", "cv", "ensemble",
+                                     "correlate", "retrieve", "attention"])
+def test_output_path_beneath_a_file_fails_in_one_line(workspace, tmp_path, capsys, command):
+    (tmp_path / "file").write_text("")
+    argv = _output_argv(command, workspace, tmp_path, str(tmp_path / "file" / "out"))
+    capsys.readouterr()
+    assert main(argv) == 1
+    _single_error(capsys, "NotADirectoryError")
+
+
+def test_empty_synth_out_dir_is_bad_config_and_writes_nothing(workspace, tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", str(workspace["root"] / "spec.json"), ""]) == 1
+    assert "non-empty out_dir" in _single_error(capsys, "BadConfig")
+    assert os.listdir(tmp_path) == []
+
+
+def _one_channel_checkpoint(workspace, tmp_path):
+    """The workspace checkpoint's state on a fresh net of one input channel."""
+    net, _, state = load_checkpoint(workspace["ckpt"])
+    state["augment"]["channel_means"] = state["augment"]["channel_means"][:1]
+    path = str(tmp_path / "gray.ckpt")
+    save_checkpoint(path, DualHeadNet(NetConfig(in_channels=1, width=4, blocks=1), net.P,
+                                      net.Q, seed=0), None, state)
+    return path
+
+
+@pytest.mark.parametrize("case, error", [
+    ("retrieve-k-0", "BadK"), ("attention-class-99", "BadClass"),
+    ("eval-one-channel", "ShapeMismatch"), ("retrieve-one-channel", "ShapeMismatch")])
+def test_bad_k_class_index_or_channel_count_fails_in_one_line(workspace, tmp_path, capsys,
+                                                              case, error):
+    ckpt, manifest = workspace["ckpt"], workspace["manifest"]
+    sid = load_manifest(manifest).samples[0].id
+    if case.endswith("one-channel"):
+        ckpt = _one_channel_checkpoint(workspace, tmp_path)
+    argv = {"retrieve-k-0": ["retrieve", ckpt, manifest, "--k", "0"],
+            "attention-class-99": ["attention", ckpt, manifest, "--id", sid,
+                                   "--class-index", "99", "--out-dir", str(tmp_path / "att")],
+            "eval-one-channel": ["eval", ckpt, manifest],
+            "retrieve-one-channel": ["retrieve", ckpt, manifest]}[case]
+    capsys.readouterr()
+    assert main(argv) == 1
+    _single_error(capsys, error)
 
 
 def test_non_object_config_is_bad_config(tmp_path, capsys):

@@ -501,6 +501,23 @@ class TestParallelFolds:
             cross_validate(ds, tiny_config(epochs=1, n_folds=5))
         assert trained == [0]
 
+    def test_caller_builds_one_net_per_fold_it_trains(self, monkeypatch):
+        from mtlkit import training
+
+        # at two processes the caller trains folds 0, 2 and 4, a child folds 1 and 3,
+        # and the child's trained nets come back whole, so none is rebuilt to score it
+        parent, real, built = os.getpid(), training.DualHeadNet, []
+
+        def counting_net(*args, **kwargs):
+            if os.getpid() == parent:
+                built.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(training, "DualHeadNet", counting_net)
+        cross_validate(tiny_dataset(20), tiny_config(epochs=1, n_folds=5))
+        assert built == [0, 2, 4]
+
     @pytest.mark.parametrize("folds", [2, 5])
     def test_child_ending_without_a_result_is_worker_died(self, monkeypatch, folds):
         from mtlkit import training
