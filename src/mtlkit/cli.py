@@ -21,10 +21,12 @@ from . import analysis, metrics
 from .data import (
     AugmentConfig,
     SynthSpec,
+    check_ranges,
     check_type,
     eval_transform,
     labels,
     load_manifest,
+    need,
     planted_correlation,
     read,
     read_list,
@@ -66,7 +68,7 @@ class RunKeys:
     """The top-level run config keys that train and cv read themselves; the
     others are TrainConfig's."""
     manifest: str
-    val_fraction: float = 0.1
+    val_fraction: float = need("in [0, 1)", 0.1)
     out_dir: str = "."
 
 
@@ -110,17 +112,23 @@ def synth_spec_from_dict(d) -> SynthSpec:
     return spec
 
 
-def _run_config(args):
-    """The raw config file, its RunKeys, and its TrainConfig with the _OVERRIDES
-    flags applied, checked so a bad value fails before train creates its output
-    directory."""
+def _run_inputs(args):
+    """The raw config file, its RunKeys, its TrainConfig with the _OVERRIDES
+    flags applied, and the manifest's dataset, checked so a bad value fails
+    before train creates its output directory or cv forks."""
     raw = _load_json(args.config)
     cfg = train_config_from_dict(raw)
     keys = read(RunKeys, {k: v for k, v in raw.items() if k in RunKeys.__dataclass_fields__},
                 "config")
+    check_ranges(keys)
     cfg = replace(cfg, **{k: getattr(args, k) for k in _OVERRIDES if getattr(args, k) is not None})
     _check_config(cfg)
-    return raw, keys, cfg
+    ds = load_manifest(keys.manifest)
+    odd = next((s for s in ds.samples if s.image.shape[0] != cfg.net.in_channels), None)
+    if odd is not None:
+        raise BadConfig(f"net.in_channels is {cfg.net.in_channels}, but image {odd.id!r} of "
+                        f"{keys.manifest} has {odd.image.shape[0]} channels")
+    return raw, keys, cfg, ds
 
 
 def _load_model(checkpoint, manifest):
@@ -146,8 +154,6 @@ def _load_model(checkpoint, manifest):
 
 
 def cmd_synth(args):
-    if not args.out_dir:   # "" would write into the current directory
-        raise BadConfig("synth needs a non-empty out_dir, got ''")
     spec = synth_spec_from_dict(_load_json(args.spec))
     if args.seed is not None:
         spec.seed = args.seed
@@ -157,11 +163,8 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    raw, keys, cfg = _run_config(args)
-    if not 0 <= keys.val_fraction < 1:
-        raise BadConfig(f"config.val_fraction must lie in [0, 1), got {keys.val_fraction!r}")
+    raw, keys, cfg, ds = _run_inputs(args)
     out_dir = keys.out_dir if args.out_dir is None else args.out_dir
-    ds = load_manifest(keys.manifest)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:  # an empty path, or one beneath a regular file
@@ -209,7 +212,7 @@ def cmd_eval(args):
     report = metrics.task_report(TASKS[mode], (les_sm, loc_sm), *labels(ds.samples))
     _name_lesion_classes(report, ds.lesion_names)
     report["ten_crop"] = bool(args.ten_crop)
-    if args.scores_out:  # the score CSV of each head the checkpoint's mode trained
+    if args.scores_out is not None:  # the score CSV of each head the checkpoint's mode trained
         for task, sm, names in (("lesion", les_sm, ds.lesion_names),
                                 ("location", loc_sm, ds.location_names)):
             if task in TASKS[mode]:
@@ -244,8 +247,8 @@ def cmd_ensemble(args):
 
 
 def cmd_cv(args):
-    _, keys, cfg = _run_config(args)
-    report = cross_validate(load_manifest(keys.manifest), cfg)
+    _, _, cfg, ds = _run_inputs(args)
+    report = cross_validate(ds, cfg)
     _emit_report(report, args.report_out)
     return 0
 
@@ -256,12 +259,7 @@ def cmd_correlate(args):
     lines = ["lesion," + ",".join(ds.location_names)]
     for name, row in zip(ds.lesion_names, corr.R):
         lines.append(name + "," + ",".join(repr(float(x)) for x in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -306,12 +304,16 @@ def _name_lesion_classes(report, names):
 
 
 def _emit_report(report, path):
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as f:
-            f.write(text + "\n")
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", path)
+
+
+def _write(text, path):
+    """Write text to the file path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
     else:
-        print(text)
+        with open(path, "w") as f:
+            f.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("spec", help="JSON spec file (P, Q, N, R or correlation_strength, ...)")
     s.add_argument("out_dir")
     s.add_argument("--seed", type=int, default=None)
-    s.set_defaults(func=cmd_synth)
+    s.set_defaults(func=cmd_synth, outputs=("out_dir",))
 
     s = sub.add_parser("train", parents=[overrides], help="train a model from a JSON config")
     s.add_argument("config")
     s.add_argument("--out-dir", default=None)
-    s.set_defaults(func=cmd_train)
+    # train reports an empty out_dir, from the config or --out-dir, as one it cannot create
+    s.set_defaults(func=cmd_train, outputs=())
 
     s = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
     s.add_argument("checkpoint")
@@ -343,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ten-crop", action="store_true")
     s.add_argument("--scores-out", default=None, help="prefix for score CSVs")
     s.add_argument("--report-out", default=None)
-    s.set_defaults(func=cmd_eval)
+    s.set_defaults(func=cmd_eval, outputs=("--scores-out", "--report-out"))
 
     s = sub.add_parser("ensemble", help="combine two score CSVs and re-evaluate")
     s.add_argument("scores_a")
@@ -352,17 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kind", choices=("lesion", "location"), default="lesion")
     s.add_argument("--method", choices=("max", "mean"), default="max")
     s.add_argument("--report-out", default=None)
-    s.set_defaults(func=cmd_ensemble)
+    s.set_defaults(func=cmd_ensemble, outputs=("--report-out",))
 
     s = sub.add_parser("cv", parents=[overrides], help="k-fold cross-validation")
     s.add_argument("config")
     s.add_argument("--report-out", default=None)
-    s.set_defaults(func=cmd_cv)
+    s.set_defaults(func=cmd_cv, outputs=("--report-out",))
 
     s = sub.add_parser("correlate", help="lesion-by-location correlation matrix CSV")
     s.add_argument("manifest")
     s.add_argument("--out", default=None)
-    s.set_defaults(func=cmd_correlate)
+    s.set_defaults(func=cmd_correlate, outputs=("--out",))
 
     s = sub.add_parser("retrieve", help="nearest-neighbor retrieval report")
     s.add_argument("checkpoint")
@@ -370,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--queries", default=None, help="query manifest (default: index)")
     s.add_argument("--k", type=int, default=5)
     s.add_argument("--report-out", default=None)
-    s.set_defaults(func=cmd_retrieve)
+    s.set_defaults(func=cmd_retrieve, outputs=("--report-out",))
 
     s = sub.add_parser("attention", help="export a class activation map")
     s.add_argument("checkpoint")
@@ -380,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--class-index", type=int, default=None,
                    help="default: the sample's ground-truth class")
     s.add_argument("--out-dir", default=".")
-    s.set_defaults(func=cmd_attention)
+    s.set_defaults(func=cmd_attention, outputs=("--out-dir",))
 
     return p
 
@@ -388,6 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in args.outputs:   # the command's output paths, each flag as typed
+            if getattr(args, flag.lstrip("-").replace("-", "_")) == "":   # names no file
+                raise BadConfig(f"{args.command} needs a non-empty {flag}, got ''")
         # a diverging run overflows long before its loss is checked; the
         # NonFiniteLoss (training), NaN-score (ScoreMatrix) and
         # NonFiniteFeature (retrieval) checks report it as one error line,

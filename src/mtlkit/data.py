@@ -36,9 +36,10 @@ task is hard, and the two are correlated.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from typing import get_type_hints
 
@@ -81,31 +82,59 @@ class Dataset:
         return len(self.samples)
 
 
+# ---------------------------------------------------------------------------
+# JSON configs: run configs, synth specs and checkpoint state, not manifests
+
+# the ranges a numeric config field may declare by need; each fails NaN and +-inf
+RULES = {
+    ">= 0": lambda x: 0 <= x < math.inf,
+    ">= 1": lambda x: 1 <= x < math.inf,
+    ">= 2": lambda x: 2 <= x < math.inf,
+    "> 0": lambda x: 0 < x < math.inf,
+    "in [0, 1)": lambda x: 0 <= x < 1,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+    "in (0, 1]": lambda x: 0 < x <= 1,
+    "finite": lambda x: -math.inf < x < math.inf,
+}
+
+
+def need(rule: str, default=MISSING):
+    """A dataclass field, of that default if given, that check_ranges holds to RULES[rule]."""
+    return field(default=default, metadata={"need": rule})
+
+
+def check_ranges(cfg, section: str = "", error=BadConfig):
+    """Raise error unless every need rule of the dataclass cfg, nested ones included, holds."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            check_ranges(value, f"{section}{f.name}.", error)
+        elif "need" in f.metadata and not RULES[f.metadata["need"]](value):
+            raise error(f"need {section}{f.name} {f.metadata['need']}, got {value!r}")
+
+
 @dataclass
 class SynthSpec:
-    P: int
-    Q: int
-    N: int
+    P: int = need(">= 1")
+    Q: int = need(">= 2")
+    N: int = need(">= 1")
     R: np.ndarray            # P x Q row-stochastic target correlation
-    noise: float = 0.08
+    noise: float = need(">= 0", 0.08)
     image_size: tuple = (3, 32, 32)
-    seed: int = 0
-    multi_rate: float = 0.3  # chance of a secondary, location-consistent lesion
-    lesion_amplitude: float = 0.10
+    seed: int = need(">= 0", 0)   # np.random.default_rng takes no negative seed
+    multi_rate: float = need("in [0, 1]", 0.3)  # chance of a location-consistent second lesion
+    lesion_amplitude: float = need("finite", 0.10)
 
 
 @dataclass
 class AugmentConfig:
     jitter_min: int = 36
     jitter_max: int = 48
-    crop: int = 28
-    flip_prob: float = 0.5
+    crop: int = need(">= 1", 28)
+    flip_prob: float = need("in [0, 1]", 0.5)
     eval_scale: int = 36
     channel_means: tuple | None = None   # per-channel floats; train fits them
 
-
-# ---------------------------------------------------------------------------
-# JSON configs: run configs, synth specs and checkpoint state, not manifests
 
 _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
 
@@ -336,21 +365,23 @@ def _render(u, v, q, size, noise, amplitude, rng):
     return np.clip(img, 0.0, 1.0)
 
 
-def synthesize(spec: SynthSpec) -> Dataset:
-    """Generate a correlated-label dataset; deterministic under spec.seed."""
+def check_spec(spec: SynthSpec):
+    """Raise BadSpec unless spec's fields hold their ranges, R is a P x Q
+    row-stochastic matrix and image_size is 3 positive sizes."""
+    check_ranges(spec, error=BadSpec)
     r = np.asarray(spec.R, dtype=np.float64)
-    if spec.P < 1 or spec.Q < 2 or spec.N < 1:
-        raise BadSpec(f"invalid sizes P={spec.P} Q={spec.Q} N={spec.N}")
     if r.shape != (spec.P, spec.Q):
         raise BadSpec(f"R must be {spec.P}x{spec.Q}, got {r.shape}")
     if (r < 0).any() or not np.abs(r.sum(axis=1) - 1.0).max() <= 1e-9:   # NaN fails too
         raise BadSpec("R rows must be nonnegative and sum to 1 within 1e-9")
     if len(spec.image_size) != 3 or min(spec.image_size) < 1:
         raise BadSpec(f"image_size must be 3 positive sizes (C, H, W), got {spec.image_size}")
-    if spec.noise < 0 or not (0 <= spec.multi_rate <= 1):
-        raise BadSpec("noise must be >= 0 and multi_rate in [0, 1]")
-    if spec.seed < 0:  # np.random.default_rng takes no negative seed
-        raise BadSpec(f"need seed >= 0, got {spec.seed}")
+
+
+def synthesize(spec: SynthSpec) -> Dataset:
+    """Generate a correlated-label dataset; deterministic under spec.seed."""
+    check_spec(spec)
+    r = np.asarray(spec.R, dtype=np.float64)
     rng = np.random.default_rng(spec.seed)
     width = len(str(spec.N - 1))
     samples = []

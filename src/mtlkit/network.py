@@ -29,7 +29,7 @@ from itertools import islice
 import numpy as np
 
 from . import tensor as T
-from .data import read
+from .data import check_ranges, need, read
 from .errors import BadConfig, CheckpointError, ShapeMismatch
 from .objective import TASKS
 
@@ -39,11 +39,11 @@ _VERSION = 1
 
 @dataclass
 class NetConfig:
-    in_channels: int = 3
-    width: int = 8          # trunk channel count == pooled feature length K
-    blocks: int = 2         # residual blocks after the stem
-    head_w_mult: float = 10.0
-    head_b_mult: float = 20.0
+    in_channels: int = need(">= 1", 3)
+    width: int = need(">= 1", 8)     # trunk channel count == pooled feature length K
+    blocks: int = need(">= 0", 2)    # residual blocks after the stem
+    head_w_mult: float = need(">= 0", 10.0)  # a head's lr multipliers; 0 freezes it
+    head_b_mult: float = need(">= 0", 20.0)
 
 
 @dataclass
@@ -89,8 +89,7 @@ class DualHeadNet:
             raise BadConfig(f"P must be >= 1, got {P}")
         if Q < 2:
             raise BadConfig(f"Q must be >= 2 (softmax over one class is degenerate), got {Q}")
-        if config.in_channels < 1 or config.width < 1 or config.blocks < 0:
-            raise BadConfig(f"inconsistent net config: {asdict(config)}")
+        check_ranges(config, "net.")
         self.config = config
         self.P = P
         self.Q = Q

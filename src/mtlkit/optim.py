@@ -12,15 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import need
 from .errors import MissingGradient
 
 
 @dataclass
 class PlateauConfig:
-    factor: float = 0.1
-    patience: int = 5
-    rel_threshold: float = 1e-3
-    min_lr: float = 1e-6
+    factor: float = need("in (0, 1]", 0.1)
+    patience: int = need(">= 0", 5)
+    rel_threshold: float = need("in [0, 1)", 1e-3)
+    min_lr: float = need(">= 0", 1e-6)
 
 
 class SGD:

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import metrics, objective
-from .data import (AugmentConfig, Dataset, assign_folds, augment, channel_means, eval_transform,
-                   labels, ten_crop)
+from .data import (AugmentConfig, Dataset, assign_folds, augment, channel_means, check_ranges,
+                   eval_transform, labels, need, ten_crop)
 from .errors import BadConfig, EmptyDataset, NonFiniteLoss, WorkerDied
 from .network import DualHeadNet, NetConfig
 from .optim import SGD, PlateauConfig
@@ -25,56 +25,40 @@ from .tensor import Tensor, backward
 @dataclass
 class TrainConfig:
     mode: str = "mtl"
-    epochs: int = 6
-    batch_size: int = 20
-    lr: float = 1e-3
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    aux_weight: float = 1.0
-    pretrain_epochs: int = 0      # location-only warmup standing in for transfer init
-    seed: int = 0
+    epochs: int = need(">= 0", 6)
+    batch_size: int = need(">= 1", 20)
+    lr: float = need("> 0", 1e-3)
+    momentum: float = need("in [0, 1)", 0.9)
+    weight_decay: float = need(">= 0", 1e-4)
+    aux_weight: float = need(">= 0", 1.0)
+    pretrain_epochs: int = need(">= 0", 0)   # location-only warmup standing in for transfer init
+    seed: int = need(">= 0", 0)   # np.random.default_rng takes no negative seed
     net: NetConfig = field(default_factory=NetConfig)
     plateau: PlateauConfig = field(default_factory=PlateauConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-    n_folds: int = 5
+    n_folds: int = need(">= 2", 5)
     use_ten_crop: bool = False
 
 
 def _check_config(cfg):
     if cfg.mode not in objective.TASKS:
         raise BadConfig(f"mode must be one of {tuple(objective.TASKS)}, got {cfg.mode!r}")
-    if (cfg.weight_decay < 0 or cfg.lr <= 0 or cfg.batch_size < 1 or cfg.epochs < 0
-            or cfg.pretrain_epochs < 0):
-        raise BadConfig(f"need weight_decay >= 0, lr > 0, batch_size >= 1, epochs >= 0 and "
-                        f"pretrain_epochs >= 0; got {cfg.weight_decay}, {cfg.lr}, "
-                        f"{cfg.batch_size}, {cfg.epochs} and {cfg.pretrain_epochs}")
-    # each range is written as "not in range", so that a NaN fails it too
-    if not 0 <= cfg.momentum < 1 or not cfg.aux_weight >= 0:
-        raise BadConfig(f"need momentum in [0, 1) and aux_weight >= 0, got {cfg.momentum} "
-                        f"and {cfg.aux_weight}")
-    if cfg.n_folds < 2:
-        raise BadConfig(f"need n_folds >= 2, got {cfg.n_folds}")
-    if cfg.seed < 0:  # np.random.default_rng takes no negative seed
-        raise BadConfig(f"need seed >= 0, got {cfg.seed}")
-    pl = cfg.plateau
-    if (not 0 < pl.factor <= 1 or pl.patience < 0 or not pl.min_lr >= 0
-            or not 0 <= pl.rel_threshold < 1):
-        raise BadConfig(f"need plateau.factor in (0, 1], plateau.patience >= 0, "
-                        f"plateau.min_lr >= 0 and plateau.rel_threshold in [0, 1); got "
-                        f"{pl.factor}, {pl.patience}, {pl.min_lr} and {pl.rel_threshold}")
+    check_ranges(cfg)
     check_augment(cfg.augment)
 
 
 def check_augment(aug: AugmentConfig):
-    """Raise BadConfig unless jitter_min <= jitter_max, crop >= 1, flip_prob
-    lies in [0, 1] and both scales reach the crop: jitter_min >= crop, so
-    every training draw fits it, and eval_scale >= crop."""
+    """Raise BadConfig unless aug's fields hold their ranges, jitter_min <=
+    jitter_max, crop is even, as the stem's 2x2 max-pool halves it, and both
+    scales reach the crop: jitter_min >= crop, so every training draw fits
+    it, and eval_scale >= crop."""
+    check_ranges(aug, "augment.")
     if aug.jitter_min > aug.jitter_max:
         raise BadConfig(f"need augment.jitter_min <= augment.jitter_max, got "
                         f"{aug.jitter_min} > {aug.jitter_max}")
-    if aug.crop < 1 or not 0 <= aug.flip_prob <= 1:
-        raise BadConfig(f"need augment.crop >= 1 and augment.flip_prob in [0, 1], got "
-                        f"{aug.crop} and {aug.flip_prob}")
+    if aug.crop % 2:
+        raise BadConfig(f"need an even augment.crop, which the stem's 2x2 max-pool halves, "
+                        f"got {aug.crop}")
     if aug.jitter_min < aug.crop or aug.eval_scale < aug.crop:
         raise BadConfig(f"need augment.jitter_min and augment.eval_scale >= augment.crop, got "
                         f"{aug.jitter_min} and {aug.eval_scale} for crop {aug.crop}")

@@ -496,6 +496,13 @@ def _set(raw, key, value):
     ("plateau.min_lr", -1.0, "plateau.min_lr >= 0"),
     ("plateau.rel_threshold", 1.0, "plateau.rel_threshold in [0, 1)"),
     ("seed", -1, "seed >= 0"),
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    ("lr", float("nan"), "lr > 0"), ("lr", 1e400, "lr > 0"),
+    ("weight_decay", float("inf"), "weight_decay >= 0"),
+    ("aux_weight", float("inf"), "aux_weight >= 0"),
+    ("plateau.min_lr", float("inf"), "plateau.min_lr >= 0"),
+    ("net.width", 0, "net.width >= 1"), ("net.head_w_mult", -1, "net.head_w_mult >= 0"),
+    ("val_fraction", 1.5, "val_fraction in [0, 1)"),   # cv checks it too
 ])
 @pytest.mark.parametrize("command", ["train", "cv"])
 def test_out_of_range_config_value_fails_before_any_output(workspace, tmp_path, capsys, key,
@@ -539,7 +546,18 @@ def test_out_of_range_augment_value_fails_before_any_output(workspace, tmp_path,
                                                             value, command):
     line = _run_bad_config(workspace, tmp_path, capsys,
                            lambda raw: raw["augment"].update({key: value}), command)
-    assert "augment.crop >= 1 and augment.flip_prob in [0, 1]" in line and str(value) in line
+    rule = {"crop": ">= 1", "flip_prob": "in [0, 1]"}[key]
+    assert f"need augment.{key} {rule}, got {value}" in line
+
+
+# without the checks, train makes its out_dir and cv forks before the first forward fails
+@pytest.mark.parametrize("key, value", [("augment.crop", 9), ("net.in_channels", 1)])
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_odd_crop_or_foreign_channel_count_fails_before_any_output(workspace, tmp_path, capsys,
+                                                                   key, value, command):
+    line = _run_bad_config(workspace, tmp_path, capsys, lambda raw: _set(raw, key, value),
+                           command)
+    assert key in line and str(value) in line
 
 
 @pytest.mark.parametrize("command", ["train", "cv"])
@@ -610,6 +628,21 @@ def test_output_path_beneath_a_file_fails_in_one_line(workspace, tmp_path, capsy
     capsys.readouterr()
     assert main(argv) == 1
     _single_error(capsys, "NotADirectoryError")
+
+
+# synth's is test_empty_synth_out_dir_is_bad_config_and_writes_nothing; train reports an
+# empty out_dir as one it cannot create (test_unusable_out_dir_is_bad_config)
+@pytest.mark.parametrize("command", ["eval-report", "eval-scores", "cv", "ensemble", "correlate",
+                                     "retrieve", "attention"])
+def test_empty_output_path_is_bad_config_and_writes_nothing(workspace, tmp_path, capsys,
+                                                            monkeypatch, command):
+    argv = _output_argv(command, workspace, tmp_path, "")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "needs a non-empty --" in _single_error(capsys, "BadConfig")
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_empty_synth_out_dir_is_bad_config_and_writes_nothing(workspace, tmp_path, capsys,
@@ -764,10 +797,12 @@ def test_missing_checkpoint_fails_in_one_line(workspace, tmp_path, capsys, comma
     dict(SPEC, correlation_strenght=0.34), dict(SPEC, P=3.9), dict(SPEC, N=True),
     dict(SPEC, noise="0.1"), dict(SPEC, image_size=[3, "12", 12]),
     dict(SPEC, correlation_strength=10**400), dict(SPEC, correlation_strength=float("nan")),
-    dict(SPEC, seed=-1),
+    dict(SPEC, seed=-1), dict(SPEC, noise=float("nan")),
+    dict(SPEC, lesion_amplitude=float("inf")),
 ], ids=["no-P", "list", "image-size-int", "image-size-zero", "one-location", "N-string",
         "strength-typo", "P-float", "N-bool", "noise-string", "image-size-string",
-        "strength-huge-int", "strength-nan", "seed-negative"])
+        "strength-huge-int", "strength-nan", "seed-negative", "noise-nan",
+        "lesion-amplitude-inf"])
 def test_bad_synth_spec_fails_in_one_line(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -893,6 +928,7 @@ def _nest(section, **extra):
     _nest("augment", eval_scale=None), _nest("augment", crop=0),
     _nest("augment", flip_prob=2.0), _nest("augment", jitter_min=13),
     _nest("augment", eval_scale=7), _nest("augment", jitter_min=7),
+    _nest("augment", crop=7), _nest("config", head_w_mult=float("nan")),
     # a mode outside TASKS: which heads to report and which buffers to expect is unknown
     lambda state: dict(state, mode="both"), lambda state: dict(state, mode=None),
 ], ids=["not-object", "no-config", "no-P", "no-Q", "no-seed", "config-unknown-key",
@@ -901,7 +937,8 @@ def _nest(section, **extra):
         "no-augment", "means-null",
         "means-one", "means-two", "means-strings", "crop-string", "eval-scale-null",
         "crop-zero", "flip-prob-above-one", "jitter-min-above-max",
-        "eval-scale-below-crop", "jitter-min-below-crop", "mode-unknown", "mode-null"])
+        "eval-scale-below-crop", "jitter-min-below-crop", "crop-odd", "nan-head-w-mult",
+        "mode-unknown", "mode-null"])
 def test_bad_checkpoint_state_fails_in_one_line(workspace, tmp_path, capsys, edit):
     bad = _with_state(workspace, tmp_path, edit)
     capsys.readouterr()

@@ -1,30 +1,81 @@
-"""The one JSON config reader, data.read: which fields it checks, and a fuzz
-of the two parsers built on it, the run config's and the synth spec's.
+"""The one JSON config reader, data.read, and the one range check,
+data.check_ranges: which fields they check, README's list of the ranges, and
+a fuzz of the two parsers built on them, the run config's and the synth spec's.
 
 The fuzz runs the parse step only. It never synthesizes or trains, since a
 fuzzed N, image_size or net width could ask for more memory than the host has.
 """
 
-from dataclasses import is_dataclass
+import math
+import re
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtlkit.cli import RunKeys, synth_spec_from_dict, train_config_from_dict
-from mtlkit.data import AugmentConfig, SynthSpec, read
+from mtlkit.data import RULES, AugmentConfig, SynthSpec, check_ranges, check_spec, read
 from mtlkit.errors import BadConfig, BadSpec
 from mtlkit.network import NetConfig
 from mtlkit.optim import PlateauConfig
 from mtlkit.training import TrainConfig, _check_config
 
+CONFIGS = [TrainConfig, NetConfig, PlateauConfig, AugmentConfig, SynthSpec, RunKeys]
+
 # fields that the reader passes through and their parser checks by hand
 HAND_CHECKED = {"channel_means", "R", "image_size"}
 
+# numbers that declare no range, since only a rule across fields bounds them
+CROSS_FIELD = {
+    "jitter_min": "check_augment: jitter_min <= jitter_max and jitter_min >= crop >= 1",
+    "jitter_max": "check_augment: jitter_max >= jitter_min",
+    "eval_scale": "check_augment: eval_scale >= crop >= 1",
+}
 
-@pytest.mark.parametrize("cls", [TrainConfig, NetConfig, PlateauConfig, AugmentConfig,
-                                 SynthSpec, RunKeys], ids=lambda cls: cls.__name__)
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)
+def test_every_number_declares_a_rule_of_the_table_or_is_cross_field(cls):
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        kind = hints[f.name]
+        if kind in (int, float):
+            assert ("need" in f.metadata) != (f.name in CROSS_FIELD), f.name
+        if "need" in f.metadata:
+            assert kind in (int, float) and f.metadata["need"] in RULES, f.name
+
+
+def declared(cls, section=""):
+    """(key, rule) of each field of cls, or of a dataclass nested in it, that declares one."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        kind = hints[f.name]
+        if is_dataclass(kind):
+            yield from declared(kind, f"{section}{f.name}.")
+        elif "need" in f.metadata:
+            yield f"{section}{f.name}", f.metadata["need"]
+
+
+def test_readme_lists_every_declared_range_and_no_other():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## The JSON rule\n", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| (run config|spec) \| `([\w.]+)` \| `([^`]+)` \|$", section,
+                          re.MULTILINE))
+    want = {("run config", key, rule) for cls in (TrainConfig, RunKeys)
+            for key, rule in declared(cls)}
+    want |= {("spec", key, rule) for key, rule in declared(SynthSpec)}
+    assert rows == want
+
+
+def test_float_rules_refuse_nan_and_both_infinities():
+    for rule, holds in RULES.items():
+        assert not any(holds(x) for x in (math.nan, math.inf, -math.inf)), rule
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)
 def test_every_config_field_is_checked_by_the_reader_or_by_hand(cls):
     # a field of a new type must either get a check in the reader or join HAND_CHECKED
     for name, kind in get_type_hints(cls).items():
@@ -40,6 +91,18 @@ SCALARS = (st.none() | st.booleans() | st.integers() | st.just(-10**400) | st.fl
            | st.text(max_size=3))
 JSON = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
                     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+
+
+def numbers(obj):
+    """Every int or float that the dataclass obj holds, nested ones included, R's too."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from numbers(value)
+        elif isinstance(value, np.ndarray):
+            yield from value.ravel().tolist()
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield value
 
 
 def mostly(typed):
@@ -82,11 +145,13 @@ RUN_KEYS = {"manifest": st.text(), "val_fraction": TYPED[float], "out_dir": st.t
 def test_fuzzed_run_config_is_a_config_or_one_bad_config(d):
     try:
         cfg = train_config_from_dict(d)
-        read(RunKeys, {k: v for k, v in d.items() if k in RUN_KEYS}, "config")
+        keys = read(RunKeys, {k: v for k, v in d.items() if k in RUN_KEYS}, "config")
+        check_ranges(keys)
         _check_config(cfg)
     except BadConfig:
         return
     assert isinstance(cfg, TrainConfig)
+    assert all(-math.inf < x < math.inf for obj in (cfg, keys) for x in numbers(obj))
 
 
 # planted_correlation allocates a P x Q matrix, so the sizes stay small
@@ -111,6 +176,8 @@ def with_r(d):
 def test_fuzzed_synth_spec_is_a_spec_or_one_bad_spec(d):
     try:
         spec = synth_spec_from_dict(d)
+        check_spec(spec)
     except BadSpec:
         return
     assert isinstance(spec, SynthSpec)
+    assert all(-math.inf < x < math.inf for x in numbers(spec))
